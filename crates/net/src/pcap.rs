@@ -43,6 +43,7 @@ use crate::wire::{self, ChecksumPolicy};
 use crate::{IngestReason, NetError, Packet, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::sync::Arc;
 use upbound_telemetry::{Counter, LatencyRecorder, Registry};
 
@@ -101,15 +102,36 @@ impl<W: Write> PcapWriter<W> {
     ///
     /// Propagates I/O errors from the underlying writer.
     pub fn write_packet(&mut self, packet: &Packet) -> Result<(), NetError> {
-        let frame = wire::encode(packet);
-        let orig_len = frame.len().max(packet.wire_len() as usize) as u32;
-        let incl_len = (frame.len() as u32).min(self.snaplen);
-        let (sec, usec) = packet.ts().to_sec_usec();
-        self.out.write_all(&sec.to_le_bytes())?;
-        self.out.write_all(&usec.to_le_bytes())?;
-        self.out.write_all(&incl_len.to_le_bytes())?;
-        self.out.write_all(&orig_len.to_le_bytes())?;
-        self.out.write_all(&frame[..incl_len as usize])?;
+        self.write_frame(packet.ts(), packet.wire_len(), &wire::encode(packet))
+    }
+
+    /// Appends one record holding `frame` byte for byte (truncated to the
+    /// snaplen), stamped `ts`, with original length `orig_len` (raised to
+    /// the frame length if smaller).
+    ///
+    /// This forwards a captured frame verbatim — MAC addresses, TTL, IP
+    /// ID, TCP options and checksums included — where
+    /// [`write_packet`](Self::write_packet) re-synthesizes one.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from the underlying writer.
+    pub fn write_frame(
+        &mut self,
+        ts: Timestamp,
+        orig_len: u32,
+        frame: &[u8],
+    ) -> Result<(), NetError> {
+        let incl_len = frame.len().min(self.snaplen as usize);
+        let orig_len = orig_len.max(u32::try_from(frame.len()).unwrap_or(u32::MAX));
+        let (sec, usec) = ts.to_sec_usec();
+        let mut header = [0u8; REC_HDR_LEN];
+        header[0..4].copy_from_slice(&sec.to_le_bytes());
+        header[4..8].copy_from_slice(&usec.to_le_bytes());
+        header[8..12].copy_from_slice(&(incl_len as u32).to_le_bytes());
+        header[12..16].copy_from_slice(&orig_len.to_le_bytes());
+        self.out.write_all(&header)?;
+        self.out.write_all(&frame[..incl_len])?;
         self.records += 1;
         Ok(())
     }
@@ -282,10 +304,22 @@ impl IngestTelemetry {
 
 const GLOBAL_HDR_LEN: usize = 24;
 const REC_HDR_LEN: usize = 16;
-/// Consumed-prefix length above which `fill` compacts the buffer, so a
-/// byte-at-a-time resync stays amortized O(1) per byte instead of
-/// re-shifting the buffer on every slide.
-const COMPACT_THRESHOLD: usize = 4096;
+/// Smallest read window: `fill` reads up to this many bytes per call
+/// into the reader's own buffer, so a capture of small records costs
+/// one read per several hundred records.
+const READ_WINDOW: usize = 64 * 1024;
+
+/// One record framed in place by [`PcapReader::read_record`]: the
+/// decoded headers and the captured frame bytes, borrowed from the
+/// reader's buffer until the next read.
+#[derive(Debug)]
+pub struct Record<'a> {
+    /// The record decoded by [`wire::decode_headers`]: five-tuple, TCP
+    /// flags, timestamp and original wire length, with an empty payload.
+    pub packet: Packet,
+    /// The frame bytes exactly as captured (`incl_len` of them).
+    pub frame: &'a [u8],
+}
 
 struct RecHeader {
     sec: u32,
@@ -300,6 +334,11 @@ struct RecHeader {
 /// verify); pass decoded frames through [`wire::decode`] with
 /// [`ChecksumPolicy::Verify`] if verification is required.
 ///
+/// [`read_packet`](Self::read_packet) decodes each record in full;
+/// [`read_record`](Self::read_record) decodes only its headers and lends
+/// out the captured frame bytes, which is all a filter needs to decide
+/// and forward a packet.
+///
 /// The reader buffers internally so it can look ahead without committing:
 /// under [`RecoveryPolicy::Skip`] a malformed record is counted in
 /// [`IngestStats`], its bytes are discarded, and reading resumes at the
@@ -313,8 +352,10 @@ pub struct PcapReader<R: Read> {
     records: u64,
     policy: RecoveryPolicy,
     stats: IngestStats,
+    /// Read window; the unconsumed input is `buf[pos..end]`.
     buf: Vec<u8>,
     pos: usize,
+    end: usize,
     eof: bool,
 }
 
@@ -352,6 +393,7 @@ impl<R: Read> PcapReader<R> {
             stats: IngestStats::default(),
             buf: Vec::new(),
             pos: 0,
+            end: 0,
             eof: false,
         };
         reader.fill(GLOBAL_HDR_LEN)?;
@@ -422,21 +464,42 @@ impl<R: Read> PcapReader<R> {
     }
 
     fn available(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end - self.pos
     }
 
     /// Buffers input until at least `want` bytes are available or the
     /// input is exhausted. Callers re-check [`PcapReader::available`].
+    ///
+    /// Returns at once when `want` bytes are already buffered. Otherwise
+    /// it reads straight into the window, as much as fits per call. The
+    /// unconsumed tail moves to the window's front only when fewer than
+    /// `want` bytes of room remain past the cursor, and the window then
+    /// grows to at least `2 * want`. Once the window is twice the largest
+    /// `want`, a move copies fewer than `want` bytes after more than
+    /// `want` were consumed, so a byte-at-a-time resync stays amortized
+    /// O(1) per byte.
     fn fill(&mut self, want: usize) -> Result<(), NetError> {
-        if self.pos >= COMPACT_THRESHOLD || self.pos == self.buf.len() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
+        if self.available() >= want || self.eof {
+            return Ok(());
         }
-        let mut chunk = [0u8; 8192];
-        while !self.eof && self.available() < want {
-            match self.input.read(&mut chunk) {
-                Ok(0) => self.eof = true,
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+        if self.pos + want > self.buf.len() {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
+            self.pos = 0;
+            if 2 * want > self.buf.len() {
+                let size = (2 * want).next_power_of_two().max(READ_WINDOW);
+                self.buf.resize(size, 0);
+            }
+        }
+        // `pos + want <= buf.len()` and `end < pos + want`, so the slice
+        // read into is never empty and `Ok(0)` really is end of input.
+        while self.available() < want {
+            match self.input.read(&mut self.buf[self.end..]) {
+                Ok(0) => {
+                    self.eof = true;
+                    break;
+                }
+                Ok(n) => self.end += n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(NetError::Io(e)),
             }
@@ -475,19 +538,54 @@ impl<R: Read> PcapReader<R> {
     /// * Frame decode errors from [`wire::decode`] (checksum verification
     ///   disabled).
     pub fn read_packet(&mut self) -> Result<Option<Packet>, NetError> {
+        Ok(self.next_record(wire::decode)?.map(|(packet, _)| packet))
+    }
+
+    /// Reads the next record without copying its payload: the packet is
+    /// decoded by [`wire::decode_headers`] and the captured frame bytes
+    /// are borrowed from the reader's buffer. Returns `Ok(None)` at end
+    /// of input.
+    ///
+    /// Framing, recovery and [`IngestStats`] are exactly those of
+    /// [`read_packet`](Self::read_packet): both decoders accept and
+    /// reject the same frames.
+    ///
+    /// # Errors
+    ///
+    /// The same as [`read_packet`](Self::read_packet).
+    pub fn read_record(&mut self) -> Result<Option<Record<'_>>, NetError> {
+        let next = self.next_record(wire::decode_headers)?;
+        Ok(next.map(|(packet, frame)| Record {
+            packet,
+            frame: &self.buf[frame],
+        }))
+    }
+
+    /// Frames and decodes the next record with `decode`, returning the
+    /// packet and the range of its frame bytes in `buf`.
+    fn next_record<D>(&mut self, decode: D) -> Result<Option<(Packet, Range<usize>)>, NetError>
+    where
+        D: Fn(&[u8], Timestamp, u32, ChecksumPolicy) -> Result<Packet, NetError>,
+    {
         match self.policy {
             RecoveryPolicy::Strict => {
-                let r = self.next_record_strict();
+                let r = self.next_record_strict(decode);
                 if let Err(e) = &r {
                     self.stats.count(e.reason());
                 }
                 r
             }
-            RecoveryPolicy::Skip => self.next_record_skip(),
+            RecoveryPolicy::Skip => self.next_record_skip(decode),
         }
     }
 
-    fn next_record_strict(&mut self) -> Result<Option<Packet>, NetError> {
+    fn next_record_strict<D>(
+        &mut self,
+        decode: D,
+    ) -> Result<Option<(Packet, Range<usize>)>, NetError>
+    where
+        D: Fn(&[u8], Timestamp, u32, ChecksumPolicy) -> Result<Packet, NetError>,
+    {
         self.fill(REC_HDR_LEN)?;
         let avail = self.available();
         if avail == 0 {
@@ -518,12 +616,17 @@ impl<R: Read> PcapReader<R> {
             });
         }
         let ts = Timestamp::from_sec_usec(hdr.sec, hdr.usec);
-        let frame = &self.buf[self.pos + REC_HDR_LEN..self.pos + total];
-        let packet = wire::decode(frame, ts, hdr.orig_len, ChecksumPolicy::Ignore)?;
+        let frame = self.pos + REC_HDR_LEN..self.pos + total;
+        let packet = decode(
+            &self.buf[frame.clone()],
+            ts,
+            hdr.orig_len,
+            ChecksumPolicy::Ignore,
+        )?;
         self.consume(total);
         self.records += 1;
         self.stats.records_ok += 1;
-        Ok(Some(packet))
+        Ok(Some((packet, frame)))
     }
 
     /// Skip-mode reading: trust plausible framing, otherwise slide.
@@ -539,7 +642,10 @@ impl<R: Read> PcapReader<R> {
     ///   whose header passes *stricter* plausibility (valid microseconds,
     ///   non-empty body, `orig_len >= incl_len`) **and** whose body
     ///   actually wire-decodes.
-    fn next_record_skip(&mut self) -> Result<Option<Packet>, NetError> {
+    fn next_record_skip<D>(&mut self, decode: D) -> Result<Option<(Packet, Range<usize>)>, NetError>
+    where
+        D: Fn(&[u8], Timestamp, u32, ChecksumPolicy) -> Result<Packet, NetError>,
+    {
         let mut resync = false;
         // Every iteration either returns or consumes at least one byte,
         // so the loop terminates on any input.
@@ -591,13 +697,18 @@ impl<R: Read> PcapReader<R> {
                 continue;
             }
             let ts = Timestamp::from_sec_usec(hdr.sec, hdr.usec);
-            let frame = &self.buf[self.pos + REC_HDR_LEN..self.pos + total];
-            match wire::decode(frame, ts, hdr.orig_len, ChecksumPolicy::Ignore) {
+            let frame = self.pos + REC_HDR_LEN..self.pos + total;
+            match decode(
+                &self.buf[frame.clone()],
+                ts,
+                hdr.orig_len,
+                ChecksumPolicy::Ignore,
+            ) {
                 Ok(packet) => {
                     self.consume(total);
                     self.records += 1;
                     self.stats.records_ok += 1;
-                    return Ok(Some(packet));
+                    return Ok(Some((packet, frame)));
                 }
                 Err(e) => {
                     if resync {
@@ -1029,6 +1140,43 @@ mod tests {
             .counter("upbound_net_ingest_bytes_skipped_total")
             .unwrap();
         assert!(skipped > 0);
+    }
+
+    #[test]
+    fn read_record_frames_forward_verbatim_through_write_frame() {
+        let packets = sample_packets();
+        let bytes = to_bytes(&packets, 65535).unwrap();
+        let mut reader = PcapReader::new(&bytes[..]).unwrap();
+        let mut out = Vec::new();
+        let mut writer = PcapWriter::new(&mut out, 65535).unwrap();
+        let mut read = 0;
+        while let Some(record) = reader.read_record().unwrap() {
+            assert!(record.packet.payload().is_empty());
+            assert_eq!(record.packet, packets[read].strip_payload());
+            let p = &record.packet;
+            writer
+                .write_frame(p.ts(), p.wire_len(), record.frame)
+                .unwrap();
+            read += 1;
+        }
+        writer.finish().unwrap();
+        assert_eq!(read, packets.len());
+        assert_eq!(out, bytes);
+    }
+
+    #[test]
+    fn write_frame_truncates_to_snaplen_and_raises_orig_len() {
+        let frame: Vec<u8> = (0..100).collect();
+        let mut out = Vec::new();
+        let mut writer = PcapWriter::new(&mut out, 54).unwrap();
+        writer
+            .write_frame(Timestamp::from_sec_usec(7, 250), 10, &frame)
+            .unwrap();
+        writer.finish().unwrap();
+        let rec = &out[GLOBAL_HDR_LEN..];
+        let field = |i: usize| u32::from_le_bytes(rec[i * 4..i * 4 + 4].try_into().unwrap());
+        assert_eq!([field(0), field(1), field(2), field(3)], [7, 250, 54, 100]);
+        assert_eq!(&rec[REC_HDR_LEN..], &frame[..54]);
     }
 
     #[test]

@@ -156,6 +156,43 @@ pub fn decode(
     orig_len: u32,
     policy: ChecksumPolicy,
 ) -> Result<Packet, NetError> {
+    decode_frame(frame, ts, orig_len, policy, true)
+}
+
+/// Decodes only the headers of an Ethernet II frame: the [`Packet`] has
+/// an empty payload but `orig_len` as its `wire_len`, and the frame is
+/// accepted or rejected exactly as [`decode`] would.
+///
+/// This is the decode of the filter path, which needs the five-tuple,
+/// the TCP flags, the timestamp and the wire length, but never the
+/// payload; skipping the payload copy saves an allocation per packet.
+///
+/// # Errors
+///
+/// The same as [`decode`].
+pub fn decode_headers(
+    frame: &[u8],
+    ts: Timestamp,
+    orig_len: u32,
+    policy: ChecksumPolicy,
+) -> Result<Packet, NetError> {
+    decode_frame(frame, ts, orig_len, policy, false)
+}
+
+fn decode_frame(
+    frame: &[u8],
+    ts: Timestamp,
+    orig_len: u32,
+    policy: ChecksumPolicy,
+    with_payload: bool,
+) -> Result<Packet, NetError> {
+    let payload = |bytes: &[u8]| {
+        if with_payload {
+            bytes.to_vec()
+        } else {
+            Vec::new()
+        }
+    };
     let need = |context: &'static str, needed: usize| NetError::Truncated {
         context,
         needed,
@@ -229,7 +266,7 @@ pub fn decode(
                 SocketAddrV4::new(src_ip, sport),
                 SocketAddrV4::new(dst_ip, dport),
             );
-            Packet::tcp(ts, tuple, flags, transport[data_off..].to_vec())
+            Packet::tcp(ts, tuple, flags, payload(&transport[data_off..]))
         }
         Protocol::Udp => {
             if transport.len() < UDP_HDR_LEN {
@@ -258,7 +295,7 @@ pub fn decode(
                 SocketAddrV4::new(src_ip, sport),
                 SocketAddrV4::new(dst_ip, dport),
             );
-            Packet::udp(ts, tuple, transport[UDP_HDR_LEN..udp_len].to_vec())
+            Packet::udp(ts, tuple, payload(&transport[UDP_HDR_LEN..udp_len]))
         }
     };
     Ok(packet.with_wire_len(orig_len))

@@ -18,7 +18,8 @@
 
 use std::collections::HashSet;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
+use std::ops::Range;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -529,8 +530,7 @@ fn cmd_analyze(args: &Args) -> Result<Outcome, CliError> {
     let inside = inside_of(args).map_err(usage)?;
     let policy = recovery_policy_of(args).map_err(usage)?;
     let file = File::open(in_path).map_err(|e| runtime(format!("{in_path}: {e}")))?;
-    let mut reader = PcapReader::with_policy(BufReader::new(file), policy)
-        .map_err(|e| runtime(e.to_string()))?;
+    let mut reader = PcapReader::with_policy(file, policy).map_err(|e| runtime(e.to_string()))?;
     let mut analyzer = Analyzer::new(inside);
     let mut outcome = Outcome::Done;
     while let Some(p) = reader.read_packet().map_err(|e| runtime(e.to_string()))? {
@@ -618,55 +618,169 @@ fn write_metrics(path: &str, format: &MetricsFormat, snapshot: &Snapshot) -> Res
     Ok(())
 }
 
-/// Runs everything staged through the sharded batch path, then applies
-/// the per-packet bookkeeping (connection blocking, uplink accounting,
-/// the output pcap) in input order. The caller guarantees no staged
-/// packet's verdict can depend on another staged packet's verdict (the
-/// hazard flush in `cmd_filter`), so this is byte-identical to deciding
-/// one packet at a time.
-#[allow(clippy::too_many_arguments)]
-fn flush_staged<F: PacketFilter + Send + Sync>(
-    filter: &ShardedFilter<F>,
-    staged: &mut Vec<(Packet, Direction)>,
-    staged_conns: &mut HashSet<FiveTuple>,
-    verdicts: &mut Vec<Verdict>,
+/// The packets staged for the next batch decision, and the per-packet
+/// bookkeeping applied once their verdicts are in: connection blocking,
+/// drop and uplink counters, and the output pcap.
+///
+/// Staged packets keep their captured frame bytes in one arena that is
+/// reused from batch to batch, so a passed packet is forwarded verbatim.
+/// A packet staged without captured bytes (the fault plan's in-memory
+/// stream) is re-encoded instead.
+struct Staging {
     block: bool,
-    blocked: &mut HashSet<FiveTuple>,
-    dropped: &mut u64,
-    up_kept: &mut u64,
-    writer: &mut Option<PcapWriter<BufWriter<File>>>,
-    tracer: Option<&StageTracer>,
-) -> Result<(), CliError> {
-    if staged.is_empty() {
-        return Ok(());
-    }
-    verdicts.clear();
-    {
-        let _t = tracer.map(|t| t.scope(Stage::Decide));
-        filter.process_batch(staged, verdicts);
-    }
-    let _t = tracer.map(|t| t.scope(Stage::Emit));
-    for ((packet, direction), verdict) in staged.drain(..).zip(verdicts.drain(..)) {
-        match verdict {
-            Verdict::Pass => {
-                if direction == Direction::Outbound {
-                    *up_kept += packet.wire_bits();
-                }
-                if let Some(w) = writer.as_mut() {
-                    w.write_packet(&packet)
-                        .map_err(|e| runtime(e.to_string()))?;
-                }
-            }
-            Verdict::Drop => {
-                if block {
-                    blocked.insert(packet.tuple().canonical());
-                }
-                *dropped += 1;
-            }
+    packets: Vec<(Packet, Direction)>,
+    /// `frames[spans[i]]` is staged packet `i`'s captured frame.
+    frames: Vec<u8>,
+    spans: Vec<Option<Range<usize>>>,
+    /// Canonical tuples of the staged packets whose verdict may drop, and
+    /// so block, their connection.
+    hazards: HashSet<FiveTuple>,
+    verdicts: Vec<Verdict>,
+    /// Canonical tuples of the blocked connections.
+    blocked: HashSet<FiveTuple>,
+    dropped: u64,
+    up_kept: u64,
+    writer: Option<PcapWriter<BufWriter<File>>>,
+}
+
+impl Staging {
+    fn new(block: bool, batch_size: usize, writer: Option<PcapWriter<BufWriter<File>>>) -> Self {
+        Self {
+            block,
+            packets: Vec::with_capacity(batch_size),
+            frames: Vec::new(),
+            spans: Vec::with_capacity(batch_size),
+            hazards: HashSet::new(),
+            verdicts: Vec::with_capacity(batch_size),
+            blocked: HashSet::new(),
+            dropped: 0,
+            up_kept: 0,
+            writer,
         }
     }
-    staged_conns.clear();
-    Ok(())
+
+    /// Stages one packet, or drops it when its connection is blocked.
+    /// Returns `true` when the batch has reached `batch_size`.
+    ///
+    /// `conn` is the packet's canonical tuple. The caller flushes first
+    /// when [`must_flush_before`](Self::must_flush_before) says so, so
+    /// the blocked check sees every drop decided before this packet.
+    /// `may_drop` is `false` only for packets the filter always passes;
+    /// their connections stay out of the hazard set.
+    fn stage(
+        &mut self,
+        packet: Packet,
+        direction: Direction,
+        conn: FiveTuple,
+        may_drop: bool,
+        frame: Option<&[u8]>,
+        batch_size: usize,
+    ) -> bool {
+        if self.block && self.blocked.contains(&conn) {
+            self.dropped += 1;
+            return false;
+        }
+        if self.block && may_drop {
+            self.hazards.insert(conn);
+        }
+        let span = match (frame, &self.writer) {
+            (Some(frame), Some(_)) => {
+                let start = self.frames.len();
+                self.frames.extend_from_slice(frame);
+                Some(start..self.frames.len())
+            }
+            _ => None,
+        };
+        self.spans.push(span);
+        self.packets.push((packet, direction));
+        self.packets.len() >= batch_size
+    }
+
+    /// Whether a staged packet of connection `conn` may yield the drop
+    /// that blocks the next one, so the batch must be decided first.
+    fn must_flush_before(&self, conn: &FiveTuple) -> bool {
+        self.block && self.hazards.contains(conn)
+    }
+
+    /// Applies `verdicts` (one per staged packet, in order) and empties
+    /// the batch.
+    fn settle(&mut self) -> Result<(), CliError> {
+        for (((packet, direction), verdict), span) in self
+            .packets
+            .drain(..)
+            .zip(self.verdicts.drain(..))
+            .zip(self.spans.drain(..))
+        {
+            match verdict {
+                Verdict::Pass => {
+                    if direction == Direction::Outbound {
+                        self.up_kept += packet.wire_bits();
+                    }
+                    if let Some(w) = self.writer.as_mut() {
+                        match span {
+                            Some(span) => {
+                                w.write_frame(packet.ts(), packet.wire_len(), &self.frames[span])
+                            }
+                            None => w.write_packet(&packet),
+                        }
+                        .map_err(|e| runtime(e.to_string()))?;
+                    }
+                }
+                Verdict::Drop => {
+                    if self.block {
+                        self.blocked.insert(packet.tuple().canonical());
+                    }
+                    self.dropped += 1;
+                }
+            }
+        }
+        self.frames.clear();
+        self.hazards.clear();
+        Ok(())
+    }
+
+    /// Flushes and closes the output pcap.
+    fn finish_output(&mut self) -> Result<(), CliError> {
+        if let Some(w) = self.writer.take() {
+            w.finish().map_err(|e| runtime(e.to_string()))?;
+        }
+        Ok(())
+    }
+}
+
+/// Opens `--out` as a pcap writer, if given.
+fn out_writer(args: &Args) -> Result<Option<PcapWriter<BufWriter<File>>>, CliError> {
+    match args.get("out") {
+        Some(path) => {
+            let f = File::create(path).map_err(|e| runtime(format!("{path}: {e}")))?;
+            let w =
+                PcapWriter::new(BufWriter::new(f), 65_535).map_err(|e| runtime(e.to_string()))?;
+            Ok(Some(w))
+        }
+        None => Ok(None),
+    }
+}
+
+/// Decides everything staged through the sharded batch path, then
+/// settles the verdicts in input order. The hazard flush in
+/// `cmd_filter` guarantees no staged packet's verdict depends on
+/// another staged packet's verdict, so this is byte-identical to
+/// deciding one packet at a time.
+fn flush_staged<F: PacketFilter + Send + Sync>(
+    filter: &ShardedFilter<F>,
+    staging: &mut Staging,
+    tracer: Option<&StageTracer>,
+) -> Result<(), CliError> {
+    if staging.packets.is_empty() {
+        return Ok(());
+    }
+    staging.verdicts.clear();
+    {
+        let _t = tracer.map(|t| t.scope(Stage::Decide));
+        filter.process_batch(&staging.packets, &mut staging.verdicts);
+    }
+    let _t = tracer.map(|t| t.scope(Stage::Emit));
+    staging.settle()
 }
 
 /// Per-tenant defaults taken from the command-line filter flags; a spec
@@ -787,45 +901,17 @@ fn parse_subscriber_spec(text: &str, defaults: &TenantDefaults) -> Result<Vec<Te
 
 /// Same contract as `flush_staged`, against the subscriber table: the
 /// staged batch is decided via grouped per-tenant dispatch, then the
-/// per-packet bookkeeping is applied in input order.
-#[allow(clippy::too_many_arguments)]
+/// verdicts are settled in input order.
 fn flush_staged_subscribers(
     table: &mut SubscriberTable<BitmapFilter>,
-    staged: &mut Vec<(Packet, Direction)>,
-    staged_conns: &mut HashSet<FiveTuple>,
-    verdicts: &mut Vec<Verdict>,
-    block: bool,
-    blocked: &mut HashSet<FiveTuple>,
-    dropped: &mut u64,
-    up_kept: &mut u64,
-    writer: &mut Option<PcapWriter<BufWriter<File>>>,
+    staging: &mut Staging,
 ) -> Result<(), CliError> {
-    if staged.is_empty() {
+    if staging.packets.is_empty() {
         return Ok(());
     }
-    verdicts.clear();
-    table.process_batch(staged, verdicts);
-    for ((packet, direction), verdict) in staged.drain(..).zip(verdicts.drain(..)) {
-        match verdict {
-            Verdict::Pass => {
-                if direction == Direction::Outbound {
-                    *up_kept += packet.wire_bits();
-                }
-                if let Some(w) = writer.as_mut() {
-                    w.write_packet(&packet)
-                        .map_err(|e| runtime(e.to_string()))?;
-                }
-            }
-            Verdict::Drop => {
-                if block {
-                    blocked.insert(packet.tuple().canonical());
-                }
-                *dropped += 1;
-            }
-        }
-    }
-    staged_conns.clear();
-    Ok(())
+    staging.verdicts.clear();
+    table.process_batch(&staging.packets, &mut staging.verdicts);
+    staging.settle()
 }
 
 fn tenant_state_label(state: SubscriberState) -> &'static str {
@@ -1043,20 +1129,10 @@ fn cmd_filter_subscribers(args: &Args) -> Result<Outcome, CliError> {
 
     let policy = recovery_policy_of(args).map_err(usage)?;
     let file = File::open(in_path).map_err(|e| runtime(format!("{in_path}: {e}")))?;
-    let mut reader = PcapReader::with_policy(BufReader::new(file), policy)
-        .map_err(|e| runtime(e.to_string()))?;
-    let mut writer = match args.get("out") {
-        Some(path) => {
-            let f = File::create(path).map_err(|e| runtime(format!("{path}: {e}")))?;
-            Some(PcapWriter::new(BufWriter::new(f), 65_535).map_err(|e| runtime(e.to_string()))?)
-        }
-        None => None,
-    };
-
-    let block = !args.has("no-block");
-    let mut blocked: HashSet<FiveTuple> = HashSet::new();
-    let (mut total, mut dropped) = (0u64, 0u64);
-    let (mut up_bits, mut up_kept) = (0u64, 0u64);
+    let mut reader = PcapReader::with_policy(file, policy).map_err(|e| runtime(e.to_string()))?;
+    let mut staging = Staging::new(!args.has("no-block"), batch_size, out_writer(args)?);
+    let mut total = 0u64;
+    let mut up_bits = 0u64;
     let mut last_ts = upbound::net::Timestamp::ZERO;
     let mut outcome = Outcome::Done;
 
@@ -1066,23 +1142,10 @@ fn cmd_filter_subscribers(args: &Args) -> Result<Outcome, CliError> {
     let mut next_report = (metrics_interval > 0.0).then_some(metrics_interval);
     let mut prev_snapshot = registry.snapshot();
 
-    let mut staged: Vec<(Packet, Direction)> = Vec::with_capacity(batch_size);
-    let mut staged_conns: HashSet<FiveTuple> = HashSet::new();
-    let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch_size);
-
-    while let Some(p) = reader.read_packet().map_err(|e| runtime(e.to_string()))? {
+    while let Some(record) = reader.read_record().map_err(|e| runtime(e.to_string()))? {
+        let (p, frame) = (record.packet, record.frame);
         if signals::interrupted() {
-            flush_staged_subscribers(
-                &mut table,
-                &mut staged,
-                &mut staged_conns,
-                &mut verdicts,
-                block,
-                &mut blocked,
-                &mut dropped,
-                &mut up_kept,
-                &mut writer,
-            )?;
+            flush_staged_subscribers(&mut table, &mut staging)?;
             outcome = Outcome::Interrupted;
             break;
         }
@@ -1111,17 +1174,7 @@ fn cmd_filter_subscribers(args: &Args) -> Result<Outcome, CliError> {
         if let Some(boundary) = next_checkpoint {
             let t = p.ts().as_secs_f64();
             if t >= boundary {
-                flush_staged_subscribers(
-                    &mut table,
-                    &mut staged,
-                    &mut staged_conns,
-                    &mut verdicts,
-                    block,
-                    &mut blocked,
-                    &mut dropped,
-                    &mut up_kept,
-                    &mut writer,
-                )?;
+                flush_staged_subscribers(&mut table, &mut staging)?;
                 table.advance(last_ts);
                 let path = checkpoint.as_deref().unwrap_or_default();
                 let wrote = checkpoint_with_backoff(&registry, || {
@@ -1144,17 +1197,7 @@ fn cmd_filter_subscribers(args: &Args) -> Result<Outcome, CliError> {
         if let Some(boundary) = next_report {
             let t = p.ts().as_secs_f64();
             if t >= boundary {
-                flush_staged_subscribers(
-                    &mut table,
-                    &mut staged,
-                    &mut staged_conns,
-                    &mut verdicts,
-                    block,
-                    &mut blocked,
-                    &mut dropped,
-                    &mut up_kept,
-                    &mut writer,
-                )?;
+                flush_staged_subscribers(&mut table, &mut staging)?;
                 table.advance(last_ts);
                 telemetry.publish(&table);
                 let snapshot = registry.snapshot();
@@ -1174,57 +1217,25 @@ fn cmd_filter_subscribers(args: &Args) -> Result<Outcome, CliError> {
             up_bits += p.wire_bits();
         }
         let tuple = p.tuple();
-        if block && staged_conns.contains(&tuple.canonical()) {
-            flush_staged_subscribers(
-                &mut table,
-                &mut staged,
-                &mut staged_conns,
-                &mut verdicts,
-                block,
-                &mut blocked,
-                &mut dropped,
-                &mut up_kept,
-                &mut writer,
-            )?;
+        let conn = tuple.canonical();
+        if staging.must_flush_before(&conn) {
+            flush_staged_subscribers(&mut table, &mut staging)?;
         }
-        if block && (blocked.contains(&tuple) || blocked.contains(&tuple.inverse())) {
-            dropped += 1;
-        } else {
-            if block {
-                staged_conns.insert(tuple.canonical());
-            }
-            staged.push((p, direction));
-            if staged.len() >= batch_size {
-                flush_staged_subscribers(
-                    &mut table,
-                    &mut staged,
-                    &mut staged_conns,
-                    &mut verdicts,
-                    block,
-                    &mut blocked,
-                    &mut dropped,
-                    &mut up_kept,
-                    &mut writer,
-                )?;
-                table.advance(last_ts);
-            }
+        // A packet whose source is a subscriber is decided as outbound
+        // there and always passes. Hairpin traffic (destination also a
+        // subscriber) is kept in the hazard set all the same: it enters a
+        // second subscriber's network, and must not be batched past if
+        // that subscriber ever decides it.
+        let may_drop = direction == Direction::Inbound
+            || classifier.subscriber_of(*tuple.dst().ip()).is_some();
+        if staging.stage(p, direction, conn, may_drop, Some(frame), batch_size) {
+            flush_staged_subscribers(&mut table, &mut staging)?;
+            table.advance(last_ts);
         }
     }
-    flush_staged_subscribers(
-        &mut table,
-        &mut staged,
-        &mut staged_conns,
-        &mut verdicts,
-        block,
-        &mut blocked,
-        &mut dropped,
-        &mut up_kept,
-        &mut writer,
-    )?;
+    flush_staged_subscribers(&mut table, &mut staging)?;
     table.advance(last_ts);
-    if let Some(w) = writer {
-        w.finish().map_err(|e| runtime(e.to_string()))?;
-    }
+    staging.finish_output()?;
     ingest_metrics.publish(reader.stats());
     report_skips(reader.stats());
 
@@ -1245,14 +1256,14 @@ fn cmd_filter_subscribers(args: &Args) -> Result<Outcome, CliError> {
     println!(
         "{} packets; dropped {} ({:.2}%); blocked {} connections",
         total,
-        dropped,
-        dropped as f64 / total.max(1) as f64 * 100.0,
-        blocked.len()
+        staging.dropped,
+        staging.dropped as f64 / total.max(1) as f64 * 100.0,
+        staging.blocked.len()
     );
     println!(
         "uplink: {:.2} Mbps offered -> {:.2} Mbps after filtering",
         up_bits as f64 / span / 1e6,
-        up_kept as f64 / span / 1e6
+        staging.up_kept as f64 / span / 1e6
     );
     let (reuses, fresh) = table.arena_counters();
     println!(
@@ -1485,15 +1496,8 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
 
     let ingest_metrics = IngestTelemetry::register(&registry);
     let file = File::open(in_path).map_err(|e| runtime(format!("{in_path}: {e}")))?;
-    let mut reader = PcapReader::with_policy(BufReader::new(file), policy)
-        .map_err(|e| runtime(e.to_string()))?;
-    let mut writer = match args.get("out") {
-        Some(path) => {
-            let f = File::create(path).map_err(|e| runtime(format!("{path}: {e}")))?;
-            Some(PcapWriter::new(BufWriter::new(f), 65_535).map_err(|e| runtime(e.to_string()))?)
-        }
-        None => None,
-    };
+    let mut reader = PcapReader::with_policy(file, policy).map_err(|e| runtime(e.to_string()))?;
+    let mut staging = Staging::new(!args.has("no-block"), batch_size, out_writer(args)?);
 
     // A fault plan's stream faults (corruption, reorder bursts, skew
     // spikes) need the whole stream, so the trace is drained up front
@@ -1522,10 +1526,8 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
     let mut ckpt_injector: Option<PlannedInjector> = fault_plan.as_ref().map(FaultPlan::injector);
     let mut ckpt_attempts = 0u64;
 
-    let block = !args.has("no-block");
-    let mut blocked: HashSet<FiveTuple> = HashSet::new();
-    let (mut total, mut dropped) = (0u64, 0u64);
-    let (mut up_bits, mut up_kept) = (0u64, 0u64);
+    let mut total = 0u64;
+    let mut up_bits = 0u64;
     let mut last_ts = upbound::net::Timestamp::ZERO;
     let mut outcome = Outcome::Done;
 
@@ -1547,55 +1549,33 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
     // which takes each shard lock once per batch. Boundaries that read or
     // write filter state (checkpoints, metrics reports, shutdown) flush the
     // staged batch first so they observe exactly the packets before them,
-    // and a packet whose connection is already staged forces a flush so the
-    // blocked-connection check sees any drop the batch would produce.
-    let mut staged: Vec<(Packet, Direction)> = Vec::with_capacity(batch_size);
-    let mut staged_conns: HashSet<FiveTuple> = HashSet::new();
-    let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch_size);
-
+    // and a packet whose connection has a staged inbound packet forces a
+    // flush so the blocked-connection check sees any drop the batch would
+    // produce. Outbound packets always pass, so they never block.
     loop {
-        let p = {
+        let next = {
             let _t = tracer.as_ref().map(|t| t.scope(Stage::Ingest));
             let started = trace_latency.then(std::time::Instant::now);
-            let p = match distorted.as_mut() {
-                Some(iter) => iter.next(),
-                None => reader.read_packet().map_err(|e| runtime(e.to_string()))?,
+            let next = match distorted.as_mut() {
+                Some(iter) => iter.next().map(|p| (p, None)),
+                None => reader
+                    .read_record()
+                    .map_err(|e| runtime(e.to_string()))?
+                    .map(|r| (r.packet, Some(r.frame))),
             };
             if let Some(started) = started {
                 ingest_metrics.record_read_latency(started.elapsed());
             }
-            p
+            next
         };
-        let Some(p) = p else { break };
+        let Some((p, frame)) = next else { break };
         if signals::interrupted() {
-            flush_staged(
-                &filter,
-                &mut staged,
-                &mut staged_conns,
-                &mut verdicts,
-                block,
-                &mut blocked,
-                &mut dropped,
-                &mut up_kept,
-                &mut writer,
-                tracer.as_ref(),
-            )?;
+            flush_staged(&filter, &mut staging, tracer.as_ref())?;
             outcome = Outcome::Interrupted;
             break;
         }
         if signals::dump_requested() {
-            flush_staged(
-                &filter,
-                &mut staged,
-                &mut staged_conns,
-                &mut verdicts,
-                block,
-                &mut blocked,
-                &mut dropped,
-                &mut up_kept,
-                &mut writer,
-                tracer.as_ref(),
-            )?;
+            flush_staged(&filter, &mut staging, tracer.as_ref())?;
             match flight.dump_now(DumpTrigger::Signal) {
                 Ok(Some(path)) => println!("SIGUSR1: wrote flight dump to {}", path.display()),
                 Ok(None) => eprintln!("SIGUSR1 received, but no --flight-dump path configured"),
@@ -1604,7 +1584,7 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
         }
         total += 1;
         last_ts = last_ts.max(p.ts());
-        if total % 1024 == 0 {
+        if total.is_multiple_of(1024) {
             health.set_watermark(last_ts.as_micros());
         }
         if pending_restore {
@@ -1628,18 +1608,7 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
         if let Some(boundary) = next_checkpoint {
             let t = p.ts().as_secs_f64();
             if t >= boundary {
-                flush_staged(
-                    &filter,
-                    &mut staged,
-                    &mut staged_conns,
-                    &mut verdicts,
-                    block,
-                    &mut blocked,
-                    &mut dropped,
-                    &mut up_kept,
-                    &mut writer,
-                    tracer.as_ref(),
-                )?;
+                flush_staged(&filter, &mut staging, tracer.as_ref())?;
                 let path = checkpoint.as_deref().unwrap_or_default();
                 let wrote = checkpoint_with_backoff(&registry, || {
                     let index = ckpt_attempts;
@@ -1670,18 +1639,7 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
         if let Some(boundary) = next_report {
             let t = p.ts().as_secs_f64();
             if t >= boundary {
-                flush_staged(
-                    &filter,
-                    &mut staged,
-                    &mut staged_conns,
-                    &mut verdicts,
-                    block,
-                    &mut blocked,
-                    &mut dropped,
-                    &mut up_kept,
-                    &mut writer,
-                    tracer.as_ref(),
-                )?;
+                flush_staged(&filter, &mut staging, tracer.as_ref())?;
                 let snapshot = registry.snapshot();
                 println!("--- metrics @ t={boundary:.1}s ---");
                 print!(
@@ -1701,61 +1659,19 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
         if direction == Direction::Outbound {
             up_bits += p.wire_bits();
         }
-        let tuple = p.tuple();
+        let conn = p.tuple().canonical();
         // A staged packet of the same connection may yield the drop that
-        // blocks this one; flush so the blocked check below is current.
-        if block && staged_conns.contains(&tuple.canonical()) {
-            flush_staged(
-                &filter,
-                &mut staged,
-                &mut staged_conns,
-                &mut verdicts,
-                block,
-                &mut blocked,
-                &mut dropped,
-                &mut up_kept,
-                &mut writer,
-                tracer.as_ref(),
-            )?;
+        // blocks this one; flush so the blocked check is current.
+        if staging.must_flush_before(&conn) {
+            flush_staged(&filter, &mut staging, tracer.as_ref())?;
         }
-        if block && (blocked.contains(&tuple) || blocked.contains(&tuple.inverse())) {
-            dropped += 1;
-        } else {
-            if block {
-                staged_conns.insert(tuple.canonical());
-            }
-            staged.push((p, direction));
-            if staged.len() >= batch_size {
-                flush_staged(
-                    &filter,
-                    &mut staged,
-                    &mut staged_conns,
-                    &mut verdicts,
-                    block,
-                    &mut blocked,
-                    &mut dropped,
-                    &mut up_kept,
-                    &mut writer,
-                    tracer.as_ref(),
-                )?;
-            }
+        let may_drop = direction == Direction::Inbound;
+        if staging.stage(p, direction, conn, may_drop, frame, batch_size) {
+            flush_staged(&filter, &mut staging, tracer.as_ref())?;
         }
     }
-    flush_staged(
-        &filter,
-        &mut staged,
-        &mut staged_conns,
-        &mut verdicts,
-        block,
-        &mut blocked,
-        &mut dropped,
-        &mut up_kept,
-        &mut writer,
-        tracer.as_ref(),
-    )?;
-    if let Some(w) = writer {
-        w.finish().map_err(|e| runtime(e.to_string()))?;
-    }
+    flush_staged(&filter, &mut staging, tracer.as_ref())?;
+    staging.finish_output()?;
     ingest_metrics.publish(reader.stats());
     report_skips(reader.stats());
 
@@ -1779,14 +1695,14 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
     println!(
         "{} packets; dropped {} ({:.2}%); blocked {} connections",
         total,
-        dropped,
-        dropped as f64 / total.max(1) as f64 * 100.0,
-        blocked.len()
+        staging.dropped,
+        staging.dropped as f64 / total.max(1) as f64 * 100.0,
+        staging.blocked.len()
     );
     println!(
         "uplink: {:.2} Mbps offered -> {:.2} Mbps after filtering",
         up_bits as f64 / span / 1e6,
-        up_kept as f64 / span / 1e6
+        staging.up_kept as f64 / span / 1e6
     );
     if let Some((path, format)) = &metrics {
         write_metrics(path, format, &registry.snapshot()).map_err(runtime)?;
@@ -2216,8 +2132,8 @@ fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
         let open = File::open(in_path).map_err(|e| runtime(format!("{in_path}: {e}")));
         let buffered = open.and_then(|file| {
             if let Some(plan) = &fault_plan {
-                let mut reader = PcapReader::with_policy(BufReader::new(file), policy)
-                    .map_err(|e| runtime(e.to_string()))?;
+                let mut reader =
+                    PcapReader::with_policy(file, policy).map_err(|e| runtime(e.to_string()))?;
                 let mut packets = Vec::new();
                 while let Some(p) = reader.read_packet().map_err(|e| runtime(e.to_string()))? {
                     packets.push(p);
@@ -2230,8 +2146,8 @@ fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
                 );
                 Ok(BufferedSource::labeled(distorted, inside))
             } else {
-                let reader = PcapReader::with_policy(BufReader::new(file), policy)
-                    .map_err(|e| runtime(e.to_string()))?;
+                let reader =
+                    PcapReader::with_policy(file, policy).map_err(|e| runtime(e.to_string()))?;
                 let mut pcap = upbound::net::PcapSource::new(reader, inside);
                 BufferedSource::drain(&mut pcap).map_err(|e| runtime(e.to_string()))
             }
