@@ -24,8 +24,9 @@
 //!   threads any sink through the replay loop, and
 //!   [`FaultingCheckpointSink`] fails writes on the injector's schedule.
 //!
-//! [`run_faulted_pipeline`] composes all three against the supervised
-//! sharded pipeline, which is what the CI chaos matrix drives.
+//! [`PipelineRunner::fault_plan`](crate::PipelineRunner::fault_plan)
+//! composes the first two against the supervised sharded pipeline,
+//! which is what the CI chaos matrix drives.
 
 use crate::pipeline::{PipelineConfig, SupervisedResult};
 use std::path::Path;
@@ -459,38 +460,13 @@ impl<S: CheckpointSink, J: FaultInjector> CheckpointSink for FaultingCheckpointS
     }
 }
 
-/// [`run_supervised_pipeline`](crate::run_supervised_pipeline) under a
-/// [`FaultPlan`]: the stream is distorted first (corruption, reorder,
-/// skew), every shard filter is wrapped in a [`FaultingFilter`] armed
-/// with the plan's panic budget, and rebuilt shards come back disarmed
-/// and fail-open exactly like the production rebuild policy. Returns the
-/// supervised result plus what the distortion pass touched.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `PipelineRunner::new(inside, config).shards(n).fault_plan(plan).run(packets)`"
-)]
-pub fn run_faulted_pipeline<I>(
-    packets: I,
-    inside: Cidr,
-    filter_config: BitmapFilterConfig,
-    shards: usize,
-    pipeline_config: PipelineConfig,
-    plan: &FaultPlan,
-) -> (SupervisedResult, DistortionReport)
-where
-    I: IntoIterator<Item = Packet>,
-{
-    faulted_pipeline_impl(
-        packets,
-        inside,
-        filter_config,
-        shards,
-        pipeline_config,
-        plan,
-        &crate::PipelineObservability::default(),
-    )
-}
-
+/// The supervised sharded pipeline under a [`FaultPlan`]
+/// ([`PipelineRunner::fault_plan`](crate::PipelineRunner::fault_plan)):
+/// the stream is distorted first (corruption, reorder, skew), every
+/// shard filter is wrapped in a [`FaultingFilter`] armed with the plan's
+/// panic budget, and rebuilt shards come back disarmed and fail-open
+/// exactly like the production rebuild policy. Returns the supervised
+/// result plus what the distortion pass touched.
 pub(crate) fn faulted_pipeline_impl<I>(
     packets: I,
     inside: Cidr,

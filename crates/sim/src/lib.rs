@@ -6,14 +6,18 @@
 //!   exact infinite-memory reference used for false-positive/negative
 //!   scoring). The trait lives in `upbound_core`; this crate re-exports
 //!   it so simulation code imports one crate.
-//! * [`ReplayEngine`] — replays a labeled packet stream through a filter,
-//!   maintaining the paper's blocked-connection store ("when an inbound
-//!   packet is decided to be dropped …, the socket pair σ of that packet
-//!   is stored and all the future packets that match any stored σ or σ̄
-//!   are all dropped without checking the bitmap") and collecting
-//!   per-interval uplink/downlink throughput before and after filtering,
-//!   per-interval drop rates, and exact error accounting against ground
-//!   truth.
+//! * [`Dataplane`] — the one dataplane core: batched decisions through
+//!   [`PacketFilter::decide_batch`] and the paper's blocked-connection
+//!   store ("when an inbound packet is decided to be dropped …, the
+//!   socket pair σ of that packet is stored and all the future packets
+//!   that match any stored σ or σ̄ are all dropped without checking the
+//!   bitmap"). `upbound filter`, [`PipelineRunner::serve`] and the
+//!   [`ReplayEngine`] all decide through it; `serve`, which may run
+//!   indefinitely, releases idle connections ([`Blocking::Expiring`]).
+//! * [`ReplayEngine`] — replays a labeled packet stream through a filter
+//!   on the [`Dataplane`] core, collecting per-interval uplink/downlink
+//!   throughput before and after filtering, per-interval drop rates, and
+//!   exact error accounting against ground truth.
 //! * [`compare`] — paired drop-rate series for two filters over one trace
 //!   (the Figure 8 scatter).
 //! * [`sweep`] — a small crossbeam-based parallel runner for parameter
@@ -34,9 +38,8 @@
 //!   supervised variants scale the filter stage out to one worker per
 //!   shard of a [`ShardedFilter`](upbound_core::ShardedFilter),
 //!   catching worker panics and quarantining/rebuilding the poisoned
-//!   shard fail-open while the surviving shards keep filtering. The
-//!   historical `run_*` free functions remain as deprecated shims over
-//!   [`PipelineRunner`].
+//!   shard fail-open while the surviving shards keep filtering. These
+//!   threaded pipelines do not block connections.
 //! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`]
 //!   describing stream corruption, reorder bursts, clock-skew spikes,
 //!   decide-path shard panics, and checkpoint I/O failures, applied via
@@ -70,6 +73,7 @@
 #![deny(unsafe_code)]
 
 mod compare;
+mod dataplane;
 pub mod fault;
 mod oracle;
 pub mod pipeline;
@@ -78,18 +82,12 @@ pub mod runner;
 pub mod sweep;
 
 pub use compare::{compare, ComparisonResult};
-#[allow(deprecated)]
-pub use fault::run_faulted_pipeline;
+pub use dataplane::{Blocking, Dataplane, DataplaneStats, Decided, Fate, Settled};
 pub use fault::{
     AtomicCheckpointSink, CheckpointSink, DistortionReport, FaultInjector, FaultPlan,
     FaultPlanError, FaultingCheckpointSink, FaultingFilter, NoopInjector, PlannedInjector,
 };
 pub use oracle::OracleFilter;
-#[allow(deprecated)]
-pub use pipeline::{
-    run_pipeline, run_sharded_pipeline, run_subscriber_pipeline, run_supervised_pipeline,
-    run_supervised_pipeline_observed, run_supervised_pipeline_with,
-};
 pub use pipeline::{
     run_pipeline_instrumented, PipelineConfig, PipelineObservability, PipelineResult,
     PipelineTelemetry, ShardIncident, SupervisedResult, SupervisorReport, SupervisorTelemetry,

@@ -15,7 +15,7 @@
 //! thread touches the filter in packet order, the pipeline's verdicts
 //! are **identical** to a sequential run — asserted by tests.
 //!
-//! [`run_sharded_pipeline`] is the scaled-out variant: the filter stage
+//! The sharded variant ([`PipelineRunner::shards`]) scales out: the filter stage
 //! fans out to one worker per shard of a [`ShardedFilter`], packets are
 //! partitioned by the same direction-symmetric flow hash the shards use
 //! (so workers never contend on a shard lock), and verdicts are
@@ -23,8 +23,13 @@
 //! With the paper-default `P_d ≡ 1` policy, verdicts are again identical
 //! to a sequential run — asserted by tests.
 //!
+//! Neither variant keeps the paper's blocked-connection store; the
+//! loops that do decide through the [`Dataplane`](crate::Dataplane)
+//! core.
+//!
 //! [`BitmapFilter`]: upbound_core::BitmapFilter
 //! [`ShardedFilter`]: upbound_core::ShardedFilter
+//! [`PipelineRunner::shards`]: crate::PipelineRunner::shards
 
 use crossbeam::channel::{bounded, Receiver, SendError, Sender, TrySendError};
 use serde::{Deserialize, Serialize};
@@ -33,10 +38,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::sync::Mutex;
 use upbound_core::observe::FilterObserver;
-use upbound_core::{
-    BitmapFilter, BitmapFilterConfig, FailMode, FilterStats, PacketFilter, ShardedFilter,
-    Snapshottable, SubscriberTable, Verdict,
-};
+use upbound_core::{BitmapFilter, FilterStats, PacketFilter, ShardedFilter, Verdict};
 use upbound_net::{Cidr, Direction, Packet, TimeDelta, Timestamp};
 use upbound_telemetry::{
     Counter, DumpTrigger, FlightRecorder, Gauge, HealthState, Registry, ShardStatus, Stage,
@@ -177,39 +179,14 @@ fn send_counting_stalls<T>(tx: &Sender<T>, value: T, stalls: &Counter) -> Result
     }
 }
 
-/// Runs `packets` through a freshly-built filter on a three-stage
-/// threaded pipeline and returns the aggregate result.
+/// Runs `packets` through `filter` (typically carrying a
+/// [`TelemetryObserver`](upbound_core::TelemetryObserver)) on a
+/// three-stage threaded pipeline with per-stage pipeline metrics.
 ///
 /// `packets` is consumed on the caller's thread (stage 1); stages 2 and
-/// 3 run on scoped worker threads. The function returns once every
-/// packet has drained through all stages.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `PipelineRunner::new(inside, filter_config).run(packets)`"
-)]
-pub fn run_pipeline<I>(
-    packets: I,
-    inside: Cidr,
-    filter_config: BitmapFilterConfig,
-    pipeline_config: PipelineConfig,
-) -> PipelineResult
-where
-    I: IntoIterator<Item = Packet>,
-{
-    run_pipeline_with(
-        packets,
-        inside,
-        BitmapFilter::new(filter_config),
-        pipeline_config,
-        None,
-    )
-    .0
-}
-
-/// [`run_pipeline`] with a caller-supplied filter (typically carrying a
-/// [`TelemetryObserver`](upbound_core::TelemetryObserver)) and per-stage
-/// pipeline metrics. Returns the aggregate result together with the
-/// filter, so observer state (e.g. the event journal) survives the run.
+/// 3 run on scoped worker threads. Returns once every packet has drained
+/// through all stages, with the aggregate result and the filter, so
+/// observer state (e.g. the event journal) survives the run.
 pub fn run_pipeline_instrumented<I, O>(
     packets: I,
     inside: Cidr,
@@ -352,113 +329,6 @@ where
     join_or_propagate(scope_result)
 }
 
-/// Runs `packets` through a multi-tenant [`SubscriberTable`] on the
-/// three-stage pipeline and returns the aggregate result together with
-/// the table (so per-subscriber statistics, arena counters and
-/// checkpoint state survive the run).
-///
-/// The ingest stage classifies each packet's accounting direction with
-/// a [`SubscriberClassifier`] cloned from the table (source inside any
-/// subscriber → outbound), while the filter stage owns the table
-/// exclusively and decides each pulled batch through the table's
-/// subscriber-grouped dispatch — packets are partitioned by
-/// longest-prefix match and each tenant's sub-batch goes through one
-/// [`PacketFilter::decide_batch`] call. Verdicts are identical to a
-/// sequential [`SubscriberTable::process_packet`] loop — asserted by
-/// tests.
-///
-/// [`SubscriberTable`]: upbound_core::SubscriberTable
-/// [`SubscriberClassifier`]: upbound_core::SubscriberClassifier
-#[deprecated(
-    since = "0.1.0",
-    note = "use `PipelineRunner::new(inside, filter_config).run_subscribers(packets, table)`"
-)]
-pub fn run_subscriber_pipeline<I, F>(
-    packets: I,
-    table: SubscriberTable<F>,
-    pipeline_config: PipelineConfig,
-) -> (PipelineResult, SubscriberTable<F>)
-where
-    I: IntoIterator<Item = Packet>,
-    F: PacketFilter<Stats = FilterStats> + Send + Sync,
-{
-    subscriber_pipeline_impl(packets, table, pipeline_config)
-}
-
-pub(crate) fn subscriber_pipeline_impl<I, F>(
-    packets: I,
-    mut table: SubscriberTable<F>,
-    pipeline_config: PipelineConfig,
-) -> (PipelineResult, SubscriberTable<F>)
-where
-    I: IntoIterator<Item = Packet>,
-    F: PacketFilter<Stats = FilterStats> + Send + Sync,
-{
-    let classifier = table.classifier();
-    let (to_filter_tx, to_filter_rx): (Sender<(Packet, Direction)>, Receiver<_>) =
-        bounded(pipeline_config.channel_capacity);
-    let (to_stats_tx, to_stats_rx): (Sender<(Packet, Direction, Verdict)>, Receiver<_>) =
-        bounded(pipeline_config.channel_capacity);
-
-    let batch_size = pipeline_config.batch_size.max(1);
-    let scope_result = crossbeam::thread::scope(|scope| {
-        // Stage 2: the filter thread — exclusive owner of the table.
-        let filter_handle = scope.spawn(move |_| {
-            let mut batch: Vec<(Packet, Direction)> = Vec::with_capacity(batch_size);
-            let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch_size);
-            'stream: while let Ok(first) = to_filter_rx.recv() {
-                batch.clear();
-                verdicts.clear();
-                batch.push(first);
-                while batch.len() < batch_size {
-                    match to_filter_rx.try_recv() {
-                        Ok(message) => batch.push(message),
-                        Err(_) => break,
-                    }
-                }
-                table.process_batch(&batch, &mut verdicts);
-                for ((packet, direction), verdict) in batch.drain(..).zip(verdicts.drain(..)) {
-                    if to_stats_tx.send((packet, direction, verdict)).is_err() {
-                        break 'stream;
-                    }
-                }
-            }
-            table
-        });
-
-        // Stage 3: accounting.
-        let stats_handle = scope.spawn(move |_| {
-            let mut result = PipelineResult {
-                ingested: 0,
-                passed: 0,
-                dropped: 0,
-                uplink_bytes: 0,
-                downlink_bytes: 0,
-                filter_stats: FilterStats::default(),
-            };
-            for (packet, direction, verdict) in to_stats_rx {
-                account(&mut result, &packet, direction, verdict);
-            }
-            result
-        });
-
-        // Stage 1: ingest — LPM classification on the calling thread.
-        for packet in packets {
-            let direction = classifier.direction_of(&packet);
-            if to_filter_tx.send((packet, direction)).is_err() {
-                break;
-            }
-        }
-        drop(to_filter_tx); // signal end-of-stream downstream
-
-        let table = join_or_propagate(filter_handle.join());
-        let mut result = join_or_propagate(stats_handle.join());
-        result.filter_stats = table.merged_stats();
-        (result, table)
-    });
-    join_or_propagate(scope_result)
-}
-
 /// Tallies one merged verdict into the aggregate result.
 fn account(result: &mut PipelineResult, packet: &Packet, direction: Direction, verdict: Verdict) {
     result.ingested += 1;
@@ -498,31 +368,10 @@ fn account(result: &mut PipelineResult, packet: &Packet, direction: Direction, v
 /// produce.
 ///
 /// With the paper-default `P_d ≡ 1` policy the verdicts (and the merged
-/// [`FilterStats`]) are identical to a sequential [`run_pipeline`] run.
+/// [`FilterStats`]) are identical to a sequential run.
 /// Under a rate-dependent RED policy, concurrent uplink recording can
 /// skew individual `P_d` reads by a packet or two, so only statistical —
 /// not bit-exact — equivalence is guaranteed.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `PipelineRunner::new(inside, filter_config).shards(n).run(packets)`"
-)]
-pub fn run_sharded_pipeline<I>(
-    packets: I,
-    inside: Cidr,
-    filter_config: BitmapFilterConfig,
-    shards: usize,
-    pipeline_config: PipelineConfig,
-) -> PipelineResult
-where
-    I: IntoIterator<Item = Packet>,
-{
-    let sharded = match ShardedFilter::builder(filter_config).shards(shards).build() {
-        Ok(sharded) => sharded,
-        Err(err) => panic!("{err}"),
-    };
-    sharded_pipeline_impl(packets, inside, &sharded, pipeline_config)
-}
-
 pub(crate) fn sharded_pipeline_impl<I, F>(
     packets: I,
     inside: Cidr,
@@ -639,7 +488,7 @@ pub struct ShardIncident {
 }
 
 /// Aggregate record of everything the shard supervisor had to do during
-/// a [`run_supervised_pipeline`] run. All zeros/empty on a clean run.
+/// a supervised run. All zeros/empty on a clean run.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SupervisorReport {
     /// Worker panics caught.
@@ -650,8 +499,8 @@ pub struct SupervisorReport {
     pub incidents: Vec<ShardIncident>,
 }
 
-/// Output of [`run_supervised_pipeline`]: the pipeline aggregate plus
-/// the supervisor's incident record.
+/// Output of a supervised run: the pipeline aggregate plus the
+/// supervisor's incident record.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SupervisedResult {
     /// The usual pipeline aggregate.
@@ -749,8 +598,8 @@ impl SupervisorTelemetry {
     }
 }
 
-/// Optional observability hooks threaded through
-/// [`run_supervised_pipeline_observed`]: per-stage latency tracing,
+/// Optional observability hooks threaded through the supervised
+/// pipeline ([`PipelineRunner::observability`](crate::PipelineRunner::observability)): per-stage latency tracing,
 /// supervisor metric export, flight-recorder mirroring, and `/health`
 /// state. Every part is independent; [`Default`] is fully disabled
 /// (zero overhead beyond an `Option` check per hook site).
@@ -809,133 +658,25 @@ impl PipelineObservability {
     }
 }
 
-/// [`run_sharded_pipeline`] with supervised workers: a panic inside a
-/// shard's decision path is caught, the poisoned shard is quarantined
-/// and rebuilt **empty and fail-open** (so its warm-up never falsely
-/// drops), and the packet that triggered the panic passes fail-open.
-/// The other `N − 1` shards keep filtering untouched, and because every
-/// sequence number still reaches the merge stage, a poisoned shard can
-/// never wedge the reorder buffer.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `PipelineRunner::new(inside, filter_config).shards(n).supervised(true).run(packets)`"
-)]
-pub fn run_supervised_pipeline<I>(
-    packets: I,
-    inside: Cidr,
-    filter_config: BitmapFilterConfig,
-    shards: usize,
-    pipeline_config: PipelineConfig,
-) -> SupervisedResult
-where
-    I: IntoIterator<Item = Packet>,
-{
-    let sharded = match ShardedFilter::builder(filter_config.clone())
-        .shards(shards)
-        .build()
-    {
-        Ok(sharded) => sharded,
-        Err(err) => panic!("{err}"),
-    };
-    let uplink = Arc::clone(sharded.uplink());
-    let quarantine = filter_config.expiry_timer();
-    let rebuild_config = filter_config.with_fail_mode(FailMode::Open);
-    let rebuild = move |_shard: usize, at: Timestamp| {
-        let mut fresh =
-            BitmapFilter::new(rebuild_config.clone()).with_shared_uplink(Arc::clone(&uplink));
-        fresh.start_cold_at(at);
-        fresh
-    };
-    supervised_pipeline_impl(
-        packets,
-        inside,
-        sharded,
-        rebuild,
-        quarantine,
-        pipeline_config,
-        &PipelineObservability::default(),
-    )
-}
-
-/// [`run_supervised_pipeline`] over a caller-built [`ShardedFilter`]
-/// and rebuild policy.
-///
-/// `rebuild(shard, at)` must produce a replacement filter ready to take
-/// over shard `shard` at watermark `at` — typically empty, sharing the
-/// sharded filter's uplink monitor, and fail-open until it has observed
-/// `quarantine` worth of traffic. The caller keeps (a clone of)
-/// `sharded`, so per-shard state remains inspectable after the run.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `PipelineRunner` (the fault plan and supervision options cover the common \
-            cases); caller-built shard banks keep working through this shim"
-)]
-pub fn run_supervised_pipeline_with<I, F, R>(
-    packets: I,
-    inside: Cidr,
-    sharded: ShardedFilter<F>,
-    rebuild: R,
-    quarantine: TimeDelta,
-    pipeline_config: PipelineConfig,
-) -> SupervisedResult
-where
-    I: IntoIterator<Item = Packet>,
-    F: PacketFilter<Stats = FilterStats> + Send + Sync,
-    R: Fn(usize, Timestamp) -> F + Sync,
-{
-    supervised_pipeline_impl(
-        packets,
-        inside,
-        sharded,
-        rebuild,
-        quarantine,
-        pipeline_config,
-        &PipelineObservability::default(),
-    )
-}
-
 /// How many packets the ingest loop admits between `/health` watermark
 /// refreshes. Coarse on purpose: the watermark is diagnostic, and the
 /// hot loop should not take the health lock per packet.
 const HEALTH_WATERMARK_STRIDE: u64 = 1024;
 
-/// [`run_supervised_pipeline_with`] plus observability hooks: per-stage
-/// latency scopes (ingest → dispatch → decide → merge → emit),
-/// supervisor metric export, flight-recorder mirroring (with an
-/// automatic dump on each caught worker panic), and live `/health`
-/// watermark + shard state. Every hook is optional; a default
-/// [`PipelineObservability`] makes this identical to the unobserved
-/// variant.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `PipelineRunner::new(inside, filter_config).shards(n).supervised(true)\
-            .observability(obs).run(packets)`"
-)]
-pub fn run_supervised_pipeline_observed<I, F, R>(
-    packets: I,
-    inside: Cidr,
-    sharded: ShardedFilter<F>,
-    rebuild: R,
-    quarantine: TimeDelta,
-    pipeline_config: PipelineConfig,
-    obs: &PipelineObservability,
-) -> SupervisedResult
-where
-    I: IntoIterator<Item = Packet>,
-    F: PacketFilter<Stats = FilterStats> + Send + Sync,
-    R: Fn(usize, Timestamp) -> F + Sync,
-{
-    supervised_pipeline_impl(
-        packets,
-        inside,
-        sharded,
-        rebuild,
-        quarantine,
-        pipeline_config,
-        obs,
-    )
-}
-
+/// The sharded pipeline with supervised workers: a panic inside a
+/// shard's decision path is caught, the poisoned shard is quarantined
+/// and rebuilt by `rebuild(shard, at)` — typically **empty and
+/// fail-open**, sharing the bank's uplink monitor, so its warm-up never
+/// falsely drops — and the packet that triggered the panic passes
+/// fail-open. The other `N − 1` shards keep filtering untouched, and
+/// because every sequence number still reaches the merge stage, a
+/// poisoned shard can never wedge the reorder buffer.
+///
+/// `obs` adds per-stage latency scopes (ingest → dispatch → decide →
+/// merge → emit), supervisor metric export, flight-recorder mirroring
+/// (with an automatic dump on each caught worker panic), and live
+/// `/health` watermark + shard state; a default
+/// [`PipelineObservability`] disables them all.
 pub(crate) fn supervised_pipeline_impl<I, F, R>(
     packets: I,
     inside: Cidr,
@@ -1111,6 +852,7 @@ where
 mod tests {
     use super::*;
     use crate::runner::PipelineRunner;
+    use upbound_core::{BitmapFilterConfig, FailMode, Snapshottable};
     use upbound_traffic::{generate, TraceConfig};
 
     fn trace() -> upbound_traffic::SyntheticTrace {
@@ -1187,57 +929,6 @@ mod tests {
         assert_eq!(result.passed, seq_passed);
         assert_eq!(result.dropped, seq_dropped);
         assert_eq!(result.filter_stats, reference.stats());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_runner() {
-        // The `run_*` free functions are thin shims over the same impls
-        // `PipelineRunner` drives; keep them verdict-identical until
-        // they are removed.
-        let trace = trace();
-        let config = BitmapFilterConfig::paper_evaluation();
-        let packets = || trace.packets.iter().map(|lp| lp.packet.clone());
-
-        let shim = run_pipeline(
-            packets(),
-            inside(),
-            config.clone(),
-            PipelineConfig::default(),
-        );
-        let runner = PipelineRunner::new(inside(), config.clone())
-            .run(packets())
-            .expect("runner");
-        assert_eq!(shim, runner.pipeline);
-
-        let shim = run_sharded_pipeline(
-            packets(),
-            inside(),
-            config.clone(),
-            4,
-            PipelineConfig::default(),
-        );
-        let runner = PipelineRunner::new(inside(), config.clone())
-            .shards(4)
-            .run(packets())
-            .expect("runner");
-        assert_eq!(shim, runner.pipeline);
-
-        let shim = run_supervised_pipeline(
-            packets(),
-            inside(),
-            config.clone(),
-            4,
-            PipelineConfig::default(),
-        );
-        let runner = PipelineRunner::new(inside(), config)
-            .shards(4)
-            .supervised(true)
-            .run(packets())
-            .expect("runner");
-        assert_eq!(shim.pipeline, runner.pipeline);
-        assert_eq!(shim.supervisor, runner.supervisor);
-        assert_eq!(runner.distortion, None);
     }
 
     #[test]
@@ -1733,66 +1424,6 @@ mod tests {
             doc.contains("\"panics\":"),
             "health doc lacks shard state: {doc}"
         );
-    }
-
-    #[test]
-    fn subscriber_pipeline_matches_sequential_table() {
-        let trace = trace();
-        let config = BitmapFilterConfig::paper_evaluation();
-        let packets: Vec<Packet> = trace.packets.iter().map(|lp| lp.packet.clone()).collect();
-
-        // Two subscribers carved out of the trace's client network plus
-        // one that never sees traffic.
-        let provision = |table: &mut SubscriberTable| {
-            for cidr in ["10.0.0.0/17", "10.0.128.0/17", "172.16.0.0/16"] {
-                table
-                    .add_subscriber(cidr.parse().expect("cidr"), config.clone())
-                    .expect("provision");
-            }
-        };
-
-        // Sequential reference.
-        let mut reference = SubscriberTable::new();
-        provision(&mut reference);
-        let classifier = reference.classifier();
-        let mut seq = PipelineResult {
-            ingested: 0,
-            passed: 0,
-            dropped: 0,
-            uplink_bytes: 0,
-            downlink_bytes: 0,
-            filter_stats: FilterStats::default(),
-        };
-        for packet in &packets {
-            let direction = classifier.direction_of(packet);
-            let verdict = reference.process_packet(packet);
-            account(&mut seq, packet, direction, verdict);
-        }
-        seq.filter_stats = reference.merged_stats();
-
-        for batch_size in [1usize, 64] {
-            let mut table = SubscriberTable::new();
-            provision(&mut table);
-            let (result, table) = subscriber_pipeline_impl(
-                packets.iter().cloned(),
-                table,
-                PipelineConfig {
-                    batch_size,
-                    ..PipelineConfig::default()
-                },
-            );
-            assert_eq!(result, seq, "batch_size = {batch_size}");
-            assert_eq!(
-                table.per_subscriber_stats(),
-                reference.per_subscriber_stats(),
-                "batch_size = {batch_size}"
-            );
-            // The untouched subscriber never materialized.
-            assert_eq!(
-                table.subscriber_state(2),
-                Some(upbound_core::SubscriberState::Dormant)
-            );
-        }
     }
 
     #[test]

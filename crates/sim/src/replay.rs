@@ -1,16 +1,15 @@
 //! The trace-replay engine.
 
-use crate::fault::{AtomicCheckpointSink, CheckpointSink};
+use crate::dataplane::{Blocking, Dataplane, Fate, Settled};
+use crate::fault::CheckpointSink;
 use crate::{OracleFilter, PacketFilter};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
-use std::collections::HashSet;
+use std::convert::Infallible;
 use std::path::Path;
 use upbound_core::{SnapshotError, Snapshottable, SubscriberTable, Verdict};
-use upbound_net::pcap::{IngestStats, PcapReader};
-use upbound_net::{
-    Cidr, Direction, FiveTuple, NetError, Packet, PacketSource, SourcePoll, TimeDelta, Timestamp,
-};
+use upbound_net::pcap::IngestStats;
+use upbound_net::{Direction, NetError, Packet, PacketSource, SourcePoll, TimeDelta, Timestamp};
 use upbound_stats::BinnedSeries;
 use upbound_traffic::SyntheticTrace;
 
@@ -157,47 +156,21 @@ impl ReplayEngine {
         )
     }
 
-    /// Like [`run`](Self::run), but additionally writes an atomic
-    /// checkpoint of `filter` to `path` every `every` of **trace time**
+    /// Like [`run`](Self::run), but additionally writes a checkpoint of
+    /// `filter` to `path` through `sink` every `every` of **trace time**
     /// (the cadence a crash-safe deployment would use), plus one final
     /// checkpoint at end-of-trace. Returns the replay metrics and how
     /// many checkpoints were written.
     ///
-    /// # Errors
-    ///
-    /// Propagates the first checkpoint write failure as
-    /// [`SnapshotError::Io`]; the replay stops at the failing packet.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PipelineRunner::new(inside, config).checkpoint(path, every).measure(trace)`"
-    )]
-    pub fn run_checkpointed<F>(
-        &self,
-        trace: &SyntheticTrace,
-        filter: &mut F,
-        path: &Path,
-        every: TimeDelta,
-    ) -> Result<(ReplayResult, u64), SnapshotError>
-    where
-        F: PacketFilter + Snapshottable,
-    {
-        self.checkpointed_impl(trace, filter, path, every, &mut AtomicCheckpointSink)
-    }
-
-    /// [`run_checkpointed`](Self::run_checkpointed) through a
-    /// caller-supplied [`CheckpointSink`] — the injectable write layer
-    /// the fault-injection subsystem uses to exercise checkpoint I/O
-    /// failure without touching the filesystem's failure modes.
+    /// The sink is the injectable write layer:
+    /// [`AtomicCheckpointSink`](crate::AtomicCheckpointSink) in
+    /// production, a [`FaultingCheckpointSink`](crate::FaultingCheckpointSink)
+    /// to exercise write failures.
     ///
     /// # Errors
     ///
     /// Propagates the first checkpoint write failure from the sink; the
-    /// replay stops at the failing packet.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PipelineRunner::new(inside, config).checkpoint(path, every).measure(trace)`; \
-                fault-injection tests that need a custom sink call the internal impl"
-    )]
+    /// replay stops at the failing batch.
     pub fn run_checkpointed_with<F, S>(
         &self,
         trace: &SyntheticTrace,
@@ -210,54 +183,13 @@ impl ReplayEngine {
         F: PacketFilter + Snapshottable,
         S: CheckpointSink,
     {
-        self.checkpointed_impl(trace, filter, path, every, sink)
-    }
-
-    pub(crate) fn checkpointed_impl<F, S>(
-        &self,
-        trace: &SyntheticTrace,
-        filter: &mut F,
-        path: &Path,
-        every: TimeDelta,
-        sink: &mut S,
-    ) -> Result<(ReplayResult, u64), SnapshotError>
-    where
-        F: PacketFilter + Snapshottable,
-        S: CheckpointSink,
-    {
-        let mut written = 0u64;
-        let mut failure: Option<SnapshotError> = None;
-        let mut next_due: Option<Timestamp> = None;
-        let mut watermark = Timestamp::ZERO;
+        let mut checkpoints = Checkpoints::new(sink, path, every);
         let result = self.run_iter_with(
             filter,
             trace.packets.iter().map(|lp| (&lp.packet, lp.direction)),
-            |f, now| {
-                if failure.is_some() {
-                    return false;
-                }
-                watermark = watermark.max(now);
-                let due = *next_due.get_or_insert(watermark + every);
-                if watermark >= due {
-                    match sink.write(path, &f.snapshot_bytes(watermark)) {
-                        Ok(()) => {
-                            written += 1;
-                            next_due = Some(due + every);
-                        }
-                        Err(e) => {
-                            failure = Some(e);
-                            return false;
-                        }
-                    }
-                }
-                true
-            },
+            |f, now| checkpoints.tick(f, now),
         );
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        sink.write(path, &filter.snapshot_bytes(watermark))?;
-        written += 1;
+        let written = checkpoints.finish(filter)?;
         Ok((result, written))
     }
 
@@ -271,18 +203,6 @@ impl ReplayEngine {
     /// once. Per-tenant results remain available from the table
     /// afterwards via
     /// [`per_subscriber_stats`](SubscriberTable::per_subscriber_stats).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PipelineRunner::new(inside, config).measure_subscribers(trace, table)`"
-    )]
-    pub fn run_subscribers<F: PacketFilter>(
-        &self,
-        trace: &SyntheticTrace,
-        table: &mut SubscriberTable<F>,
-    ) -> ReplayResult {
-        self.subscribers_impl(trace, table)
-    }
-
     pub(crate) fn subscribers_impl<F: PacketFilter>(
         &self,
         trace: &SyntheticTrace,
@@ -296,43 +216,6 @@ impl ReplayEngine {
                 .iter()
                 .map(move |lp| (&lp.packet, classifier.direction_of(&lp.packet))),
         )
-    }
-
-    /// Replays the remaining records of a pcap `reader` through `filter`,
-    /// classifying direction against `client_net` (source inside →
-    /// outbound), and returns the replay metrics together with the
-    /// reader's ingestion accounting.
-    ///
-    /// Under [`RecoveryPolicy::Skip`](upbound_net::pcap::RecoveryPolicy)
-    /// corrupt records are skipped and counted in the returned
-    /// [`IngestStats`] rather than aborting the replay.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors: any malformed record under
-    /// [`RecoveryPolicy::Strict`](upbound_net::pcap::RecoveryPolicy),
-    /// only I/O errors under `Skip`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "wrap the reader in `upbound_net::PcapSource` and use `run_source` \
-                (or `PipelineRunner::measure_source`)"
-    )]
-    pub fn run_capture<F: PacketFilter, R: std::io::Read>(
-        &self,
-        reader: &mut PcapReader<R>,
-        client_net: Cidr,
-        filter: &mut F,
-    ) -> Result<(ReplayResult, IngestStats), NetError> {
-        // Deliberately NOT routed through `run_source`: this is the
-        // pre-`PacketSource` drain-then-replay loop, kept verbatim so the
-        // differential tests compare two genuinely distinct code paths.
-        let mut packets: Vec<(Packet, Direction)> = Vec::new();
-        while let Some(packet) = reader.read_packet()? {
-            let direction = client_net.direction_of(&packet.tuple());
-            packets.push((packet, direction));
-        }
-        let result = self.run_iter(filter, packets);
-        Ok((result, *reader.stats()))
     }
 
     /// Replays a [`PacketSource`] through `filter` until the source
@@ -404,15 +287,10 @@ impl ReplayEngine {
     /// batch's last packet; returning `false` stops the replay early
     /// (used to abort on checkpoint failures).
     ///
-    /// Packets are staged into a batch and decided via
-    /// [`PacketFilter::decide_batch`]. The blocked-σ store feeds back
-    /// into which packets reach the filter at all, so the batch is
-    /// flushed early whenever an arriving packet's connection matches an
-    /// inbound packet already staged — the staged packet's verdict may
-    /// block the newcomer. That hazard rule (plus oracle scoring and
-    /// pre-filter accounting at staging time, both independent of the
-    /// filter) makes the batched loop byte-identical to the per-packet
-    /// loop at every batch size.
+    /// Packets go through the shared [`Dataplane`] core (batched
+    /// decisions, the blocked-σ store and its hazard rule); this loop
+    /// adds only the oracle scoring and the binned before/after
+    /// accounting of every packet the core settles.
     fn run_iter_with<F, P, I>(
         &self,
         filter: &mut F,
@@ -441,141 +319,138 @@ impl ReplayEngine {
             blocked_connections: 0,
         };
         let mut oracle = OracleFilter::new(self.config.oracle_expiry);
-        let mut blocked: HashSet<FiveTuple> = HashSet::new();
-
-        let batch_limit = self.config.batch_size.max(1);
-        let mut staged: Vec<(Packet, Direction)> = Vec::with_capacity(batch_limit);
-        let mut staged_oracle: Vec<Verdict> = Vec::with_capacity(batch_limit);
-        let mut staged_inbound: HashSet<FiveTuple> = HashSet::new();
-        let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch_limit);
-
-        // Decides and accounts everything staged; returns `false` when
-        // the tick hook asks to stop.
-        let mut flush = |filter: &mut F,
-                         staged: &mut Vec<(Packet, Direction)>,
-                         staged_oracle: &mut Vec<Verdict>,
-                         staged_inbound: &mut HashSet<FiveTuple>,
-                         blocked: &mut HashSet<FiveTuple>,
-                         result: &mut ReplayResult|
-         -> bool {
-            if staged.is_empty() {
-                return true;
-            }
-            verdicts.clear();
-            filter.decide_batch(staged, &mut verdicts);
-            let last_ts = staged[staged.len() - 1].0.ts();
-            for ((packet, direction), (verdict, oracle_verdict)) in staged
-                .drain(..)
-                .zip(verdicts.drain(..).zip(staged_oracle.drain(..)))
-            {
-                let t = packet.ts().as_secs_f64();
-                let bits = packet.wire_bits() as f64;
-                match (direction, verdict) {
-                    (Direction::Outbound, _) => result.post_uplink.add(t, bits),
-                    (Direction::Inbound, Verdict::Pass) => {
-                        result.post_downlink.add(t, bits);
-                        if oracle_verdict == Verdict::Drop {
-                            result.false_positives += 1;
-                        }
-                    }
-                    (Direction::Inbound, Verdict::Drop) => {
-                        result.total_dropped_packets += 1;
-                        result.inbound_dropped.add(t, 1.0);
-                        if oracle_verdict == Verdict::Pass {
-                            result.false_negatives += 1;
-                        }
-                        if self.config.block_connections
-                            && blocked.insert(packet.tuple().canonical())
-                        {
-                            result.blocked_connections += 1;
-                        }
-                    }
-                }
-            }
-            staged_inbound.clear();
-            tick(filter, last_ts)
+        let blocking = if self.config.block_connections {
+            Blocking::Permanent
+        } else {
+            Blocking::Off
         };
-
+        let mut core = Dataplane::new(blocking, self.config.batch_size, None);
+        // The core settles every packet once, in input order, so the
+        // oracle sees the stream exactly as it was offered.
+        let mut settle = |s: Settled<'_>| {
+            let oracle_verdict = oracle.decide(s.packet, s.direction);
+            result.account(&s, oracle_verdict);
+            Ok::<(), Infallible>(())
+        };
         for (packet, direction) in packets {
-            let packet = packet.borrow();
-            let tuple = packet.tuple();
-            let canonical = tuple.canonical();
-
-            // Hazard: a staged inbound packet of this connection may be
-            // about to create the block that should suppress this
-            // packet. Flush so the blocked store is current.
-            if self.config.block_connections
-                && !staged.is_empty()
-                && staged_inbound.contains(&canonical)
-                && !flush(
-                    filter,
-                    &mut staged,
-                    &mut staged_oracle,
-                    &mut staged_inbound,
-                    &mut blocked,
-                    &mut result,
-                )
-            {
+            let Ok(decided) = core.offer(
+                filter,
+                packet.borrow().clone(),
+                direction,
+                None,
+                &mut settle,
+            );
+            if decided.is_some_and(|d| !tick(filter, d.last_ts)) {
+                result.blocked_connections = core.stats().blocked_connections;
                 return result;
             }
+        }
+        let Ok(decided) = core.flush(filter, &mut settle);
+        if let Some(decided) = decided {
+            tick(filter, decided.last_ts);
+        }
+        result.blocked_connections = core.stats().blocked_connections;
+        result
+    }
+}
 
-            let t = packet.ts().as_secs_f64();
-            let bits = packet.wire_bits() as f64;
-            result.total_packets += 1;
-            match direction {
-                Direction::Outbound => result.pre_uplink.add(t, bits),
-                Direction::Inbound => {
-                    result.pre_downlink.add(t, bits);
-                    result.total_inbound_packets += 1;
-                    result.inbound_offered.add(t, 1.0);
+impl ReplayResult {
+    /// Adds one settled packet to the before/after series and scores it
+    /// against the oracle's verdict.
+    fn account(&mut self, settled: &Settled<'_>, oracle_verdict: Verdict) {
+        let t = settled.packet.ts().as_secs_f64();
+        let bits = settled.packet.wire_bits() as f64;
+        let passed = settled.fate == Fate::Passed;
+        self.total_packets += 1;
+        match settled.direction {
+            Direction::Outbound => {
+                self.pre_uplink.add(t, bits);
+                if passed {
+                    self.post_uplink.add(t, bits);
                 }
             }
-
-            let is_blocked = self.config.block_connections
-                && (blocked.contains(&tuple) || blocked.contains(&tuple.inverse()));
-
-            // The oracle scores every inbound packet, blocked or not.
-            let oracle_verdict = oracle.decide(packet, direction);
-
-            if is_blocked {
-                if direction == Direction::Inbound {
-                    result.total_dropped_packets += 1;
-                    result.inbound_dropped.add(t, 1.0);
-                    if oracle_verdict == Verdict::Pass {
-                        result.false_negatives += 1;
+            Direction::Inbound => {
+                self.pre_downlink.add(t, bits);
+                self.total_inbound_packets += 1;
+                self.inbound_offered.add(t, 1.0);
+                if passed {
+                    self.post_downlink.add(t, bits);
+                    if oracle_verdict == Verdict::Drop {
+                        self.false_positives += 1;
                     }
-                }
-                // Outbound packets of blocked connections are
-                // suppressed: they never reach the filter.
-            } else {
-                if direction == Direction::Inbound {
-                    staged_inbound.insert(canonical);
-                }
-                staged.push((packet.clone(), direction));
-                staged_oracle.push(oracle_verdict);
-                if staged.len() >= batch_limit
-                    && !flush(
-                        filter,
-                        &mut staged,
-                        &mut staged_oracle,
-                        &mut staged_inbound,
-                        &mut blocked,
-                        &mut result,
-                    )
-                {
-                    return result;
+                } else {
+                    self.total_dropped_packets += 1;
+                    self.inbound_dropped.add(t, 1.0);
+                    if oracle_verdict == Verdict::Pass {
+                        self.false_negatives += 1;
+                    }
                 }
             }
         }
-        flush(
-            filter,
-            &mut staged,
-            &mut staged_oracle,
-            &mut staged_inbound,
-            &mut blocked,
-            &mut result,
-        );
-        result
+    }
+}
+
+/// Periodic checkpoints on the replay loop's flush hook: one write each
+/// time the watermark crosses the next multiple of `every`, and a final
+/// write when the replay ends. The first failed write stops the replay.
+pub(crate) struct Checkpoints<'a, S> {
+    sink: &'a mut S,
+    path: &'a Path,
+    every: TimeDelta,
+    written: u64,
+    failure: Option<SnapshotError>,
+    next_due: Option<Timestamp>,
+    watermark: Timestamp,
+}
+
+impl<'a, S: CheckpointSink> Checkpoints<'a, S> {
+    pub(crate) fn new(sink: &'a mut S, path: &'a Path, every: TimeDelta) -> Self {
+        Self {
+            sink,
+            path,
+            every,
+            written: 0,
+            failure: None,
+            next_due: None,
+            watermark: Timestamp::ZERO,
+        }
+    }
+
+    /// The flush hook: writes a checkpoint when one is due; `false`
+    /// once a write has failed.
+    pub(crate) fn tick<F: Snapshottable>(&mut self, filter: &F, now: Timestamp) -> bool {
+        if self.failure.is_some() {
+            return false;
+        }
+        self.watermark = self.watermark.max(now);
+        let due = *self.next_due.get_or_insert(self.watermark + self.every);
+        if self.watermark >= due {
+            match self
+                .sink
+                .write(self.path, &filter.snapshot_bytes(self.watermark))
+            {
+                Ok(()) => {
+                    self.written += 1;
+                    self.next_due = Some(due + self.every);
+                }
+                Err(e) => {
+                    self.failure = Some(e);
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Surfaces a failed periodic write, or writes the final checkpoint;
+    /// returns how many checkpoints were written.
+    pub(crate) fn finish<F: Snapshottable>(self, filter: &F) -> Result<u64, SnapshotError> {
+        if let Some(e) = self.failure {
+            return Err(e);
+        }
+        self.sink
+            .write(self.path, &filter.snapshot_bytes(self.watermark))?;
+        Ok(self.written + 1)
     }
 }
 
@@ -714,45 +589,62 @@ mod tests {
         assert!(series.iter().all(|&(_, r)| (0.0..=1.0).contains(&r)));
     }
 
+    fn labeled(trace: &SyntheticTrace) -> Vec<(Packet, Direction)> {
+        trace
+            .packets
+            .iter()
+            .map(|lp| (lp.packet.clone(), lp.direction))
+            .collect()
+    }
+
     #[test]
-    #[allow(deprecated)]
-    fn run_capture_matches_in_memory_replay() {
+    fn pcap_source_replay_matches_in_memory_replay() {
+        use upbound_net::pcap::PcapReader;
+        use upbound_net::PcapSource;
         let trace = trace(7);
         let bytes =
             upbound_net::pcap::to_bytes(trace.packets.iter().map(|lp| &lp.packet), 65535).unwrap();
-        let net: Cidr = "10.0.0.0/16".parse().unwrap();
+        let net: upbound_net::Cidr = "10.0.0.0/16".parse().unwrap();
         let engine = ReplayEngine::new(ReplayConfig::default());
         let expected = engine.run(&trace, &mut bitmap());
-        let mut reader = PcapReader::new(&bytes[..]).unwrap();
-        let (result, stats) = engine.run_capture(&mut reader, net, &mut bitmap()).unwrap();
+        let mut source = PcapSource::new(PcapReader::new(&bytes[..]).unwrap(), net);
+        let (result, stats) = engine.run_source(&mut source, &mut bitmap()).unwrap();
         assert_eq!(result, expected);
         assert_eq!(stats.records_ok, trace.packets.len() as u64);
         assert_eq!(stats.errors_total(), 0);
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn run_capture_recovers_past_corruption() {
-        use upbound_net::pcap::RecoveryPolicy;
+    fn pcap_source_replay_recovers_past_corruption() {
+        use upbound_net::pcap::{PcapReader, RecoveryPolicy};
+        use upbound_net::{BufferedSource, PcapSource};
         let trace = trace(8);
         let bytes =
             upbound_net::pcap::to_bytes(trace.packets.iter().map(|lp| &lp.packet), 65535).unwrap();
         // Cut into the last record's body: strict aborts, skip recovers
         // the decodable prefix and accounts for the loss.
         let cut = &bytes[..bytes.len() - 7];
-        let net: Cidr = "10.0.0.0/16".parse().unwrap();
+        let net: upbound_net::Cidr = "10.0.0.0/16".parse().unwrap();
         let engine = ReplayEngine::new(ReplayConfig::default());
 
-        let mut strict = PcapReader::new(cut).unwrap();
-        assert!(engine.run_capture(&mut strict, net, &mut bitmap()).is_err());
+        let mut strict = PcapSource::new(PcapReader::new(cut).unwrap(), net);
+        assert!(engine.run_source(&mut strict, &mut bitmap()).is_err());
 
-        let mut skip = PcapReader::with_policy(cut, RecoveryPolicy::Skip).unwrap();
-        let (result, stats) = engine.run_capture(&mut skip, net, &mut bitmap()).unwrap();
-        let n = trace.packets.len() as u64;
-        assert_eq!(stats.records_ok, n - 1);
-        assert_eq!(result.total_packets, n - 1);
+        let mut skip = PcapSource::new(
+            PcapReader::with_policy(cut, RecoveryPolicy::Skip).unwrap(),
+            net,
+        );
+        let (result, stats) = engine.run_source(&mut skip, &mut bitmap()).unwrap();
+        let n = trace.packets.len();
+        assert_eq!(stats.records_ok, n as u64 - 1);
         assert_eq!(stats.records_skipped, 1);
         assert!(stats.bytes_skipped > 0);
+        // The recovered replay is the in-memory replay of the prefix.
+        let mut prefix = labeled(&trace);
+        prefix.truncate(n - 1);
+        let mut prefix = BufferedSource::new(prefix, IngestStats::default());
+        let (expected, _) = engine.run_source(&mut prefix, &mut bitmap()).unwrap();
+        assert_eq!(result, expected);
     }
 
     #[test]
@@ -767,12 +659,12 @@ mod tests {
 
         let mut filter = bitmap();
         let (result, written) = engine
-            .checkpointed_impl(
+            .run_checkpointed_with(
                 &trace,
                 &mut filter,
                 &path,
                 TimeDelta::from_secs(10.0),
-                &mut AtomicCheckpointSink,
+                &mut crate::AtomicCheckpointSink,
             )
             .unwrap();
         // The checkpoint hook must not perturb the replay itself.
@@ -854,72 +746,12 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn run_source_matches_run_capture_byte_for_byte() {
-        // The unified `PacketSource` replay path must be byte-identical
-        // to the historical drain-then-replay path on the same capture:
-        // same metrics, same ingestion accounting.
-        use upbound_net::PcapSource;
-        let trace = trace(13);
-        let bytes =
-            upbound_net::pcap::to_bytes(trace.packets.iter().map(|lp| &lp.packet), 65535).unwrap();
-        let net: Cidr = "10.0.0.0/16".parse().unwrap();
-        let engine = ReplayEngine::new(ReplayConfig::default());
-
-        let mut reader = PcapReader::new(&bytes[..]).unwrap();
-        let (old, old_stats) = engine.run_capture(&mut reader, net, &mut bitmap()).unwrap();
-
-        let mut source = PcapSource::new(PcapReader::new(&bytes[..]).unwrap(), net);
-        let (new, new_stats) = engine.run_source(&mut source, &mut bitmap()).unwrap();
-        assert_eq!(new, old);
-        assert_eq!(new_stats, old_stats);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn run_source_matches_run_capture_on_corrupt_capture() {
-        use upbound_net::pcap::RecoveryPolicy;
-        use upbound_net::PcapSource;
-        let trace = trace(14);
-        let bytes =
-            upbound_net::pcap::to_bytes(trace.packets.iter().map(|lp| &lp.packet), 65535).unwrap();
-        let cut = &bytes[..bytes.len() - 9];
-        let net: Cidr = "10.0.0.0/16".parse().unwrap();
-        let engine = ReplayEngine::new(ReplayConfig::default());
-
-        // Strict: both paths propagate the truncation error.
-        let mut strict = PcapReader::new(cut).unwrap();
-        assert!(engine.run_capture(&mut strict, net, &mut bitmap()).is_err());
-        let mut strict_source = PcapSource::new(PcapReader::new(cut).unwrap(), net);
-        assert!(engine
-            .run_source(&mut strict_source, &mut bitmap())
-            .is_err());
-
-        // Skip: both recover the decodable prefix with identical
-        // accounting.
-        let mut skip = PcapReader::with_policy(cut, RecoveryPolicy::Skip).unwrap();
-        let (old, old_stats) = engine.run_capture(&mut skip, net, &mut bitmap()).unwrap();
-        let mut source = PcapSource::new(
-            PcapReader::with_policy(cut, RecoveryPolicy::Skip).unwrap(),
-            net,
-        );
-        let (new, new_stats) = engine.run_source(&mut source, &mut bitmap()).unwrap();
-        assert_eq!(new, old);
-        assert_eq!(new_stats, old_stats);
-    }
-
-    #[test]
     fn buffered_source_replay_matches_trace_replay() {
         use upbound_net::BufferedSource;
         let trace = trace(15);
         let engine = ReplayEngine::new(ReplayConfig::default());
         let expected = engine.run(&trace, &mut bitmap());
-        let packets: Vec<(Packet, Direction)> = trace
-            .packets
-            .iter()
-            .map(|lp| (lp.packet.clone(), lp.direction))
-            .collect();
-        let mut source = BufferedSource::new(packets, IngestStats::default());
+        let mut source = BufferedSource::new(labeled(&trace), IngestStats::default());
         let (result, _stats) = engine.run_source(&mut source, &mut bitmap()).unwrap();
         assert_eq!(result, expected);
     }

@@ -1,12 +1,7 @@
 //! [`PipelineRunner`] — the one front door to every dataplane shape.
 //!
-//! Historically each deployment shape had its own free function
-//! (`run_pipeline`, `run_sharded_pipeline`, `run_supervised_pipeline`,
-//! `run_faulted_pipeline`, …) and each acquisition path its own engine
-//! entry point (`ReplayEngine::run`, `run_capture`, `run_checkpointed`).
-//! Every new axis (shards, supervision, fault plans, checkpoints,
-//! observability) multiplied the function count. The runner collapses
-//! the matrix into one builder:
+//! Every deployment axis (shards, supervision, fault plans, checkpoints,
+//! observability) is a builder option instead of a function of its own:
 //!
 //! ```text
 //! PipelineRunner::new(inside, filter_config)
@@ -31,6 +26,14 @@
 //!   [`PacketSource`] polled forever, reconfigurable at runtime through
 //!   a [`ServeControl`] without restarting (see below).
 //!
+//! `measure*` and `serve` decide through the shared [`Dataplane`] core,
+//! so they block connections as `upbound filter` does. `serve` runs for
+//! as long as its source lasts, so it keeps its blocked-connection store
+//! bounded: a connection is released after one mark expiry window `T_e`
+//! without packets, and at most [`Blocking::EXPIRING_CAPACITY`]
+//! connections are kept ([`Blocking::Expiring`]). The threaded `run` family does not
+//! block connections.
+//!
 //! # Runtime reconfiguration
 //!
 //! [`serve`](PipelineRunner::serve) watches the control's
@@ -44,12 +47,14 @@
 //! a final checkpoint if checkpointing is configured, and returns — the
 //! same graceful path end-of-stream takes.
 
+use crate::dataplane::{Blocking, Dataplane, DataplaneStats, Settled};
 use crate::fault::{faulted_pipeline_impl, AtomicCheckpointSink, DistortionReport, FaultPlan};
 use crate::pipeline::{
-    run_pipeline_with, sharded_pipeline_impl, subscriber_pipeline_impl, supervised_pipeline_impl,
-    PipelineConfig, PipelineObservability, PipelineResult, PipelineTelemetry, SupervisorReport,
+    run_pipeline_with, sharded_pipeline_impl, supervised_pipeline_impl, PipelineConfig,
+    PipelineObservability, PipelineResult, PipelineTelemetry, SupervisorReport,
 };
-use crate::replay::{ReplayConfig, ReplayEngine, ReplayResult};
+use crate::replay::{Checkpoints, ReplayConfig, ReplayEngine, ReplayResult};
+use std::convert::Infallible;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -58,7 +63,7 @@ use std::time::Duration;
 use upbound_core::{
     BitmapFilter, BitmapFilterConfig, ConfigCell, ConfigError, DropPolicy, FailMode, FilterStats,
     OverloadPolicy, PacketFilter, RuntimeOverrides, ShardedFilter, SnapshotError, Snapshottable,
-    SubscriberTable, Verdict,
+    SubscriberTable,
 };
 use upbound_net::pcap::IngestStats;
 use upbound_net::{
@@ -160,12 +165,10 @@ pub enum ServeExit {
 /// Everything one [`PipelineRunner::serve`] session did.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
-    /// Packets pulled from the source.
-    pub packets: u64,
-    /// Packets forwarded (all outbound + passed inbound).
-    pub passed: u64,
-    /// Inbound packets dropped by the filter.
-    pub dropped: u64,
+    /// What the dataplane core settled: packets, drops (blocked packets
+    /// included), blocked connections, and uplink bits before and after
+    /// filtering.
+    pub dataplane: DataplaneStats,
     /// Runtime reconfigurations applied (not merely staged).
     pub reconfigs_applied: u64,
     /// Checkpoints written, final drain checkpoint included.
@@ -251,6 +254,7 @@ pub struct ServeTelemetry {
     packets_total: Arc<Counter>,
     passed_total: Arc<Counter>,
     dropped_total: Arc<Counter>,
+    blocked_connections: Arc<Gauge>,
     reconfigs_total: Arc<Counter>,
     checkpoints_total: Arc<Counter>,
     batch_size: Arc<Gauge>,
@@ -277,7 +281,11 @@ impl ServeTelemetry {
             ),
             dropped_total: registry.counter(
                 "upbound_serve_dropped_total",
-                "Inbound packets dropped by the serve loop",
+                "Packets dropped by the serve loop, blocked connections included",
+            ),
+            blocked_connections: registry.gauge(
+                "upbound_serve_blocked_connections",
+                "Connections in the serve loop's blocked-connection store",
             ),
             reconfigs_total: registry.counter(
                 "upbound_serve_reconfigs_total",
@@ -322,10 +330,11 @@ impl ServeTelemetry {
         }
     }
 
-    fn record_batch(&self, packets: u64, passed: u64, dropped: u64) {
-        self.packets_total.add(packets);
-        self.passed_total.add(passed);
-        self.dropped_total.add(dropped);
+    fn record_batch(&self, before: &DataplaneStats, after: &DataplaneStats) {
+        self.packets_total.add(after.packets - before.packets);
+        self.passed_total.add(after.passed() - before.passed());
+        self.dropped_total.add(after.dropped - before.dropped);
+        self.blocked_connections.set_u64(after.blocked_resident);
     }
 
     fn publish(
@@ -586,21 +595,6 @@ impl PipelineRunner {
         Ok((report, source.stats()))
     }
 
-    /// Runs `packets` through a multi-tenant [`SubscriberTable`] on the
-    /// threaded pipeline; returns the aggregate result together with the
-    /// table, so per-tenant state survives the run.
-    pub fn run_subscribers<I, F>(
-        &self,
-        packets: I,
-        table: SubscriberTable<F>,
-    ) -> (PipelineResult, SubscriberTable<F>)
-    where
-        I: IntoIterator<Item = Packet>,
-        F: PacketFilter<Stats = FilterStats> + Send + Sync,
-    {
-        subscriber_pipeline_impl(packets, table, self.pipeline)
-    }
-
     /// Replays `trace` through the paper-faithful [`ReplayEngine`]
     /// (oracle scoring, blocked-σ store, per-bin throughput series),
     /// writing checkpoints on the configured cadence.
@@ -612,23 +606,21 @@ impl PipelineRunner {
         let engine = ReplayEngine::new(self.replay.clone());
         let mut filter =
             BitmapFilter::new(self.filter.clone()).with_overload_policy(self.overload.clone());
-        match &self.checkpoint {
-            Some((path, every)) => {
-                let (replay, checkpoints) = engine
-                    .checkpointed_impl(trace, &mut filter, path, *every, &mut AtomicCheckpointSink)
-                    .map_err(RunnerError::Snapshot)?;
-                Ok(Measurement {
-                    replay,
-                    ingest: IngestStats::default(),
-                    checkpoints,
-                })
-            }
-            None => Ok(Measurement {
-                replay: engine.run(trace, &mut filter),
-                ingest: IngestStats::default(),
-                checkpoints: 0,
-            }),
-        }
+        let (replay, checkpoints) = match &self.checkpoint {
+            Some((path, every)) => engine.run_checkpointed_with(
+                trace,
+                &mut filter,
+                path,
+                *every,
+                &mut AtomicCheckpointSink,
+            )?,
+            None => (engine.run(trace, &mut filter), 0),
+        };
+        Ok(Measurement {
+            replay,
+            ingest: IngestStats::default(),
+            checkpoints,
+        })
     }
 
     /// [`measure`](Self::measure) over a [`PacketSource`]: pcap replay,
@@ -646,7 +638,7 @@ impl PipelineRunner {
         let engine = ReplayEngine::new(self.replay.clone());
         let mut filter =
             BitmapFilter::new(self.filter.clone()).with_overload_policy(self.overload.clone());
-        let Some((path, every)) = self.checkpoint.clone() else {
+        let Some((path, every)) = &self.checkpoint else {
             let (replay, ingest) = engine.run_source(source, &mut filter)?;
             return Ok(Measurement {
                 replay,
@@ -655,44 +647,14 @@ impl PipelineRunner {
             });
         };
         let mut sink = AtomicCheckpointSink;
-        let mut written = 0u64;
-        let mut failure: Option<SnapshotError> = None;
-        let mut next_due: Option<Timestamp> = None;
-        let mut watermark = Timestamp::ZERO;
-        let outcome = engine.run_source_with(source, &mut filter, |f, now| {
-            if failure.is_some() {
-                return false;
-            }
-            watermark = watermark.max(now);
-            let due = *next_due.get_or_insert(watermark + every);
-            if watermark >= due {
-                match crate::fault::CheckpointSink::write(
-                    &mut sink,
-                    &path,
-                    &f.snapshot_bytes(watermark),
-                ) {
-                    Ok(()) => {
-                        written += 1;
-                        next_due = Some(due + every);
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        return false;
-                    }
-                }
-            }
-            true
-        });
-        let (replay, ingest) = outcome?;
-        if let Some(e) = failure {
-            return Err(RunnerError::Snapshot(e));
-        }
-        crate::fault::CheckpointSink::write(&mut sink, &path, &filter.snapshot_bytes(watermark))?;
-        written += 1;
+        let mut checkpoints = Checkpoints::new(&mut sink, path, *every);
+        let (replay, ingest) =
+            engine.run_source_with(source, &mut filter, |f, now| checkpoints.tick(f, now))?;
+        let checkpoints = checkpoints.finish(&filter)?;
         Ok(Measurement {
             replay,
             ingest,
-            checkpoints: written,
+            checkpoints,
         })
     }
 
@@ -708,11 +670,13 @@ impl PipelineRunner {
     }
 
     /// The long-running live dataplane: polls `source` until it ends or
-    /// `control` requests a drain, filtering through a shard bank and
-    /// applying staged [`RuntimeOverrides`] at safe points (the first
-    /// batch boundary after a bitmap rotation, or immediately while
-    /// idle). See the [module docs](self) for the reconfiguration
-    /// contract.
+    /// `control` requests a drain, deciding each poll through the
+    /// [`Dataplane`] core over a shard bank (so connections are blocked
+    /// as in `upbound filter`, within the bounds of the
+    /// [module docs](self)) and applying staged [`RuntimeOverrides`]
+    /// at safe points (the first batch boundary after a bitmap rotation,
+    /// or immediately while idle). See the [module docs](self) for the
+    /// reconfiguration contract.
     ///
     /// # Errors
     ///
@@ -727,23 +691,24 @@ impl PipelineRunner {
     where
         S: PacketSource + ?Sized,
     {
-        let sharded = self.build_sharded()?;
+        let mut sharded = self.build_sharded()?;
         let mut batch_size = self.pipeline.batch_size.max(1);
         let mut policy = self.filter.drop_policy();
         let mut seen_gen = 0u64;
         // (generation, overrides, filter rotations when staged)
         let mut pending: Option<(u64, RuntimeOverrides, u64)> = None;
+        let blocking = Blocking::Expiring {
+            idle: self.filter.expiry_timer(),
+        };
+        let mut core = Dataplane::new(blocking, batch_size, None);
+        let mut settle = |_: Settled<'_>| Ok::<(), Infallible>(());
 
-        let mut packets = 0u64;
-        let mut passed = 0u64;
-        let mut dropped = 0u64;
         let mut reconfigs = 0u64;
         let mut checkpoints = 0u64;
         let mut watermark = Timestamp::ZERO;
         let mut next_due: Option<Timestamp> = None;
 
         let mut buf: Vec<(Packet, Direction)> = Vec::with_capacity(batch_size);
-        let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch_size);
 
         let mut apply = |sharded: &ShardedFilter<BitmapFilter>,
                          generation: u64,
@@ -796,20 +761,16 @@ impl PipelineRunner {
                     if buf.is_empty() {
                         continue;
                     }
-                    verdicts.clear();
-                    sharded.process_batch(&buf, &mut verdicts);
-                    let mut batch_passed = 0u64;
-                    let mut batch_dropped = 0u64;
-                    for ((packet, direction), verdict) in buf.iter().zip(&verdicts) {
-                        match (*direction, *verdict) {
-                            (Direction::Inbound, Verdict::Drop) => batch_dropped += 1,
-                            _ => batch_passed += 1,
-                        }
+                    // Each poll is decided in full before the safe-point
+                    // checks below, so they see every packet polled.
+                    let before = core.stats();
+                    core.set_batch_size(batch_size);
+                    for (packet, direction) in buf.drain(..) {
                         watermark = watermark.max(packet.ts());
+                        let Ok(_) = core.offer(&mut sharded, packet, direction, None, &mut settle);
                     }
-                    packets += buf.len() as u64;
-                    passed += batch_passed;
-                    dropped += batch_dropped;
+                    let Ok(_) = core.flush(&mut sharded, &mut settle);
+                    let after = core.stats();
 
                     let stats = sharded.stats();
                     // A rotation has retired a vector since the
@@ -843,7 +804,7 @@ impl PipelineRunner {
                     }
 
                     if let Some(t) = &control.telemetry {
-                        t.record_batch(buf.len() as u64, batch_passed, batch_dropped);
+                        t.record_batch(&before, &after);
                         t.publish(watermark, &stats, policy, batch_size, seen_gen);
                         t.publish_ingest(&source.stats());
                     }
@@ -867,9 +828,7 @@ impl PipelineRunner {
             t.publish_ingest(&ingest);
         }
         Ok(ServeReport {
-            packets,
-            passed,
-            dropped,
+            dataplane: core.stats(),
             reconfigs_applied: reconfigs,
             checkpoints_written: checkpoints,
             exit,
@@ -966,9 +925,24 @@ mod tests {
         let mut source = BufferedSource::new(labeled(&trace), IngestStats::default());
         let report = runner.serve(&mut source, &control).expect("serve");
         assert_eq!(report.exit, ServeExit::SourceEnded);
-        assert_eq!(report.packets as usize, trace.packets.len());
-        assert_eq!(report.passed + report.dropped, report.packets);
+        assert_eq!(report.dataplane.packets as usize, trace.packets.len());
         assert_eq!(report.reconfigs_applied, 0);
+        // serve decides through the same core as measure: the same
+        // connections end up blocked and the same uplink survives.
+        let measured = runner.measure(&trace).expect("measure").replay;
+        assert!(report.dataplane.blocked_connections > 0);
+        assert_eq!(
+            report.dataplane.blocked_connections,
+            measured.blocked_connections
+        );
+        assert_eq!(
+            report.dataplane.uplink_offered_bits as f64,
+            measured.pre_uplink.total()
+        );
+        assert_eq!(
+            report.dataplane.uplink_passed_bits as f64,
+            measured.post_uplink.total()
+        );
         assert!(report.watermark > Timestamp::ZERO);
     }
 
@@ -1004,7 +978,11 @@ mod tests {
         assert_eq!(snapshot.gauge("upbound_serve_config_generation"), Some(1.0));
         assert_eq!(
             snapshot.counter("upbound_serve_packets_total"),
-            Some(report.packets)
+            Some(report.dataplane.packets)
+        );
+        assert_eq!(
+            snapshot.counter("upbound_serve_dropped_total"),
+            Some(report.dataplane.dropped)
         );
     }
 
@@ -1024,7 +1002,7 @@ mod tests {
         control.request_drain();
         let report = handle.join().expect("serve thread").expect("serve");
         assert_eq!(report.exit, ServeExit::Drained);
-        assert!(report.packets > 0);
+        assert!(report.dataplane.packets > 0);
     }
 
     #[test]

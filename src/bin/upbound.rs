@@ -16,10 +16,8 @@
 //! Exit codes: `0` success, `1` runtime failure, `2` usage error,
 //! `130` clean shutdown after SIGINT/SIGTERM.
 
-use std::collections::HashSet;
 use std::fs::File;
 use std::io::BufWriter;
-use std::ops::Range;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,17 +28,17 @@ use upbound::analyzer::Analyzer;
 use upbound::core::params::{max_connections, optimal_hash_count, penetration_probability};
 use upbound::core::{
     snapshot, BitmapFilter, BitmapFilterConfig, DropPolicy, FailMode, FlowHash, OverloadPolicy,
-    PacketFilter, RestoreOutcome, RuntimeOverrides, ShardedFilter, Snapshottable, SubscriberState,
-    SubscriberTable, SubscriberTelemetry, TelemetryObserver, Verdict,
+    PacketFilter, RestoreOutcome, RuntimeOverrides, ShardedFilter, Snapshottable,
+    SubscriberClassifier, SubscriberState, SubscriberTable, SubscriberTelemetry, TelemetryObserver,
 };
 use upbound::net::pcap::{IngestStats, IngestTelemetry, PcapReader, PcapWriter, RecoveryPolicy};
 use upbound::net::{
-    BufferedSource, Cidr, Direction, FiveTuple, LiveCaptureError, LiveConfig, LiveSource, Packet,
-    TimeDelta,
+    BufferedSource, Cidr, Direction, LiveCaptureError, LiveConfig, LiveSource, Packet, TimeDelta,
+    Timestamp,
 };
 use upbound::sim::{
-    FaultInjector, FaultPlan, PipelineConfig, PipelineRunner, PlannedInjector, ServeControl,
-    ServeExit,
+    Blocking, Dataplane, DataplaneStats, Fate, FaultInjector, FaultPlan, PipelineConfig,
+    PipelineRunner, PlannedInjector, ServeControl, ServeExit, Settled,
 };
 use upbound::telemetry::{
     export, ControlHandler, ControlResponse, DumpTrigger, FlightRecorder, HealthState,
@@ -133,7 +131,11 @@ LIVE DATAPLANE (serve):
     `serve` runs the filter as a long-lived dataplane over a unified
     packet source: a pcap replay (--in; --loop restamps each pass so a
     finite capture becomes an indefinite workload) or a Linux AF_PACKET
-    live capture (--live <IFACE>, needs CAP_NET_RAW or root).
+    live capture (--live <IFACE>, needs CAP_NET_RAW or root). It
+    decides through the same dataplane as `filter`, connection blocking
+    included, and ends with the same packets/uplink summary lines. A
+    blocked connection is released after one expiry window (vectors x
+    rotate-secs) without packets, and at most 2^18 are kept.
     --listen starts the control plane on <HOST:PORT> (port 0 picks an
     ephemeral port, printed on startup):
       GET  /metrics   Prometheus exposition (upbound_serve_* live state)
@@ -618,136 +620,6 @@ fn write_metrics(path: &str, format: &MetricsFormat, snapshot: &Snapshot) -> Res
     Ok(())
 }
 
-/// The packets staged for the next batch decision, and the per-packet
-/// bookkeeping applied once their verdicts are in: connection blocking,
-/// drop and uplink counters, and the output pcap.
-///
-/// Staged packets keep their captured frame bytes in one arena that is
-/// reused from batch to batch, so a passed packet is forwarded verbatim.
-/// A packet staged without captured bytes (the fault plan's in-memory
-/// stream) is re-encoded instead.
-struct Staging {
-    block: bool,
-    packets: Vec<(Packet, Direction)>,
-    /// `frames[spans[i]]` is staged packet `i`'s captured frame.
-    frames: Vec<u8>,
-    spans: Vec<Option<Range<usize>>>,
-    /// Canonical tuples of the staged packets whose verdict may drop, and
-    /// so block, their connection.
-    hazards: HashSet<FiveTuple>,
-    verdicts: Vec<Verdict>,
-    /// Canonical tuples of the blocked connections.
-    blocked: HashSet<FiveTuple>,
-    dropped: u64,
-    up_kept: u64,
-    writer: Option<PcapWriter<BufWriter<File>>>,
-}
-
-impl Staging {
-    fn new(block: bool, batch_size: usize, writer: Option<PcapWriter<BufWriter<File>>>) -> Self {
-        Self {
-            block,
-            packets: Vec::with_capacity(batch_size),
-            frames: Vec::new(),
-            spans: Vec::with_capacity(batch_size),
-            hazards: HashSet::new(),
-            verdicts: Vec::with_capacity(batch_size),
-            blocked: HashSet::new(),
-            dropped: 0,
-            up_kept: 0,
-            writer,
-        }
-    }
-
-    /// Stages one packet, or drops it when its connection is blocked.
-    /// Returns `true` when the batch has reached `batch_size`.
-    ///
-    /// `conn` is the packet's canonical tuple. The caller flushes first
-    /// when [`must_flush_before`](Self::must_flush_before) says so, so
-    /// the blocked check sees every drop decided before this packet.
-    /// `may_drop` is `false` only for packets the filter always passes;
-    /// their connections stay out of the hazard set.
-    fn stage(
-        &mut self,
-        packet: Packet,
-        direction: Direction,
-        conn: FiveTuple,
-        may_drop: bool,
-        frame: Option<&[u8]>,
-        batch_size: usize,
-    ) -> bool {
-        if self.block && self.blocked.contains(&conn) {
-            self.dropped += 1;
-            return false;
-        }
-        if self.block && may_drop {
-            self.hazards.insert(conn);
-        }
-        let span = match (frame, &self.writer) {
-            (Some(frame), Some(_)) => {
-                let start = self.frames.len();
-                self.frames.extend_from_slice(frame);
-                Some(start..self.frames.len())
-            }
-            _ => None,
-        };
-        self.spans.push(span);
-        self.packets.push((packet, direction));
-        self.packets.len() >= batch_size
-    }
-
-    /// Whether a staged packet of connection `conn` may yield the drop
-    /// that blocks the next one, so the batch must be decided first.
-    fn must_flush_before(&self, conn: &FiveTuple) -> bool {
-        self.block && self.hazards.contains(conn)
-    }
-
-    /// Applies `verdicts` (one per staged packet, in order) and empties
-    /// the batch.
-    fn settle(&mut self) -> Result<(), CliError> {
-        for (((packet, direction), verdict), span) in self
-            .packets
-            .drain(..)
-            .zip(self.verdicts.drain(..))
-            .zip(self.spans.drain(..))
-        {
-            match verdict {
-                Verdict::Pass => {
-                    if direction == Direction::Outbound {
-                        self.up_kept += packet.wire_bits();
-                    }
-                    if let Some(w) = self.writer.as_mut() {
-                        match span {
-                            Some(span) => {
-                                w.write_frame(packet.ts(), packet.wire_len(), &self.frames[span])
-                            }
-                            None => w.write_packet(&packet),
-                        }
-                        .map_err(|e| runtime(e.to_string()))?;
-                    }
-                }
-                Verdict::Drop => {
-                    if self.block {
-                        self.blocked.insert(packet.tuple().canonical());
-                    }
-                    self.dropped += 1;
-                }
-            }
-        }
-        self.frames.clear();
-        self.hazards.clear();
-        Ok(())
-    }
-
-    /// Flushes and closes the output pcap.
-    fn finish_output(&mut self) -> Result<(), CliError> {
-        if let Some(w) = self.writer.take() {
-            w.finish().map_err(|e| runtime(e.to_string()))?;
-        }
-        Ok(())
-    }
-}
-
 /// Opens `--out` as a pcap writer, if given.
 fn out_writer(args: &Args) -> Result<Option<PcapWriter<BufWriter<File>>>, CliError> {
     match args.get("out") {
@@ -761,32 +633,11 @@ fn out_writer(args: &Args) -> Result<Option<PcapWriter<BufWriter<File>>>, CliErr
     }
 }
 
-/// Decides everything staged through the sharded batch path, then
-/// settles the verdicts in input order. The hazard flush in
-/// `cmd_filter` guarantees no staged packet's verdict depends on
-/// another staged packet's verdict, so this is byte-identical to
-/// deciding one packet at a time.
-fn flush_staged<F: PacketFilter + Send + Sync>(
-    filter: &ShardedFilter<F>,
-    staging: &mut Staging,
-    tracer: Option<&StageTracer>,
-) -> Result<(), CliError> {
-    if staging.packets.is_empty() {
-        return Ok(());
-    }
-    staging.verdicts.clear();
-    {
-        let _t = tracer.map(|t| t.scope(Stage::Decide));
-        filter.process_batch(&staging.packets, &mut staging.verdicts);
-    }
-    let _t = tracer.map(|t| t.scope(Stage::Emit));
-    staging.settle()
-}
-
-/// Per-tenant defaults taken from the command-line filter flags; a spec
-/// line's `key=value` tokens override them for that subscriber only.
+/// The bitmap-filter flags: the configuration of the single `--inside`
+/// filter, and the per-tenant defaults a `--subscribers` spec line's
+/// `key=value` tokens override for that subscriber only.
 #[derive(Clone)]
-struct TenantDefaults {
+struct BitmapFlags {
     low: f64,
     high: f64,
     vector_bits: u32,
@@ -796,7 +647,7 @@ struct TenantDefaults {
     hole_punching: bool,
 }
 
-impl TenantDefaults {
+impl BitmapFlags {
     fn of(args: &Args) -> Result<Self, CliError> {
         Ok(Self {
             low: args.parse_num("low-mbps", 0.0).map_err(usage)?,
@@ -829,6 +680,161 @@ impl TenantDefaults {
     }
 }
 
+/// The flags `filter` (either filter kind) and `serve` share, parsed in
+/// one place. Each command rejects the combinations it does not support
+/// before or after calling [`FilterFlags::parse`].
+struct FilterFlags {
+    bitmap: BitmapFlags,
+    fail_mode: FailMode,
+    overload: OverloadPolicy,
+    checkpoint: Option<String>,
+    checkpoint_interval: f64,
+    batch_size: usize,
+    shards: usize,
+    fault_plan: Option<FaultPlan>,
+}
+
+impl FilterFlags {
+    fn parse(args: &Args) -> Result<Self, CliError> {
+        let bitmap = BitmapFlags::of(args)?;
+        let fail_mode = match args.get("fail-mode") {
+            None if args.has("fail-mode") => {
+                return Err(usage("--fail-mode expects `open` or `closed`"));
+            }
+            None => FailMode::Closed,
+            Some(v) => FailMode::parse(v).ok_or_else(|| {
+                usage(format!("--fail-mode expects `open` or `closed`, got {v:?}"))
+            })?,
+        };
+        let overload = match args.get("overload-policy") {
+            None if args.has("overload-policy") => {
+                return Err(usage(
+                    "--overload-policy expects off|balanced|strict[,key=value...]",
+                ));
+            }
+            None => OverloadPolicy::off(),
+            Some(spec) => {
+                OverloadPolicy::parse(spec).map_err(|e| usage(format!("--overload-policy: {e}")))?
+            }
+        };
+        let checkpoint = match args.get("checkpoint") {
+            None if args.has("checkpoint") => {
+                return Err(usage("--checkpoint requires a file path"));
+            }
+            other => other.map(str::to_owned),
+        };
+        let checkpoint_interval: f64 =
+            args.parse_num("checkpoint-interval", 30.0).map_err(usage)?;
+        if checkpoint_interval <= 0.0 || !checkpoint_interval.is_finite() {
+            return Err(usage(format!(
+                "--checkpoint-interval expects a positive number of seconds, got {checkpoint_interval}"
+            )));
+        }
+        if args.has("checkpoint-interval") && checkpoint.is_none() {
+            return Err(usage("--checkpoint-interval requires --checkpoint <FILE>"));
+        }
+        // Default matches the batch_throughput bench's sweet spot; 1
+        // restores the packet-at-a-time behavior exactly.
+        let batch_size: usize = args.parse_num("batch-size", 64usize).map_err(usage)?;
+        if batch_size == 0 {
+            return Err(usage("--batch-size expects at least 1"));
+        }
+        let shards: usize = args.parse_num("shards", 1usize).map_err(usage)?;
+        if shards == 0 {
+            return Err(usage("--shards expects at least 1"));
+        }
+        let fault_plan = match args.get("fault-plan") {
+            None if args.has("fault-plan") => {
+                return Err(usage(
+                    "--fault-plan expects `none` or key=value fields (seed, corrupt, \
+                     reorder, skew, skew-secs, panics, ckpt)",
+                ));
+            }
+            None => None,
+            Some(spec) => {
+                let plan =
+                    FaultPlan::parse(spec).map_err(|e| usage(format!("--fault-plan: {e}")))?;
+                if plan.panics() > 0 {
+                    return Err(usage(
+                        "--fault-plan panics=N needs a shard supervisor to catch them; \
+                         it is only supported by the supervised pipeline (chaos harness), \
+                         not the CLI dataplane",
+                    ));
+                }
+                (!plan.is_none()).then_some(plan)
+            }
+        };
+        Ok(Self {
+            bitmap,
+            fail_mode,
+            overload,
+            checkpoint,
+            checkpoint_interval,
+            batch_size,
+            shards,
+            fault_plan,
+        })
+    }
+
+    /// The configuration of the single `--inside` filter.
+    fn config(&self) -> Result<BitmapFilterConfig, CliError> {
+        self.bitmap
+            .build(None)
+            .map(|config| config.with_fail_mode(self.fail_mode))
+            .map_err(usage)
+    }
+}
+
+/// Reads the whole capture and distorts it by `plan` (stream faults need
+/// the whole stream), printing what the plan touched.
+fn distorted_stream<R: std::io::Read>(
+    reader: &mut PcapReader<R>,
+    plan: &FaultPlan,
+) -> Result<Vec<Packet>, CliError> {
+    let mut all = Vec::new();
+    while let Some(p) = reader.read_packet().map_err(|e| runtime(e.to_string()))? {
+        all.push(p);
+    }
+    let (stream, report) = plan.distort_stream(all);
+    println!(
+        "fault plan armed (seed {}): corrupted {} packet(s), {} reorder burst(s), \
+         {} skewed packet(s)",
+        plan.seed(),
+        report.corrupted,
+        report.reorder_bursts,
+        report.skewed
+    );
+    Ok(stream)
+}
+
+/// Prints the two lines that state what the dataplane decided. `filter`
+/// and `serve` print them identically from the core's counters; `span`
+/// is the timestamp of the last packet.
+fn print_summary(stats: &DataplaneStats, span: Timestamp) {
+    let span = span.as_secs_f64().max(1e-9);
+    println!(
+        "{} packets; dropped {} ({:.2}%); blocked {} connections",
+        stats.packets,
+        stats.dropped,
+        stats.dropped as f64 / stats.packets.max(1) as f64 * 100.0,
+        stats.blocked_connections
+    );
+    println!(
+        "uplink: {:.2} Mbps offered -> {:.2} Mbps after filtering",
+        stats.uplink_offered_bits as f64 / span / 1e6,
+        stats.uplink_passed_bits as f64 / span / 1e6
+    );
+}
+
+/// Writes the flight-recorder dump a SIGUSR1 asked for.
+fn dump_on_signal(flight: &FlightRecorder) {
+    match flight.dump_now(DumpTrigger::Signal) {
+        Ok(Some(path)) => println!("SIGUSR1: wrote flight dump to {}", path.display()),
+        Ok(None) => eprintln!("SIGUSR1 received, but no --flight-dump path configured"),
+        Err(e) => eprintln!("SIGUSR1: flight dump failed: {e}"),
+    }
+}
+
 /// One parsed `--subscribers` spec line.
 struct TenantSpec {
     name: String,
@@ -853,7 +859,7 @@ where
 /// ...]`, `#` starts a comment. Keys: `name`, `low-mbps`, `high-mbps`,
 /// `vector-bits`, `vectors`, `rotate-secs`, `hashes`, `hole-punching`,
 /// `seed`.
-fn parse_subscriber_spec(text: &str, defaults: &TenantDefaults) -> Result<Vec<TenantSpec>, String> {
+fn parse_subscriber_spec(text: &str, defaults: &BitmapFlags) -> Result<Vec<TenantSpec>, String> {
     let mut specs = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -899,21 +905,6 @@ fn parse_subscriber_spec(text: &str, defaults: &TenantDefaults) -> Result<Vec<Te
     Ok(specs)
 }
 
-/// Same contract as `flush_staged`, against the subscriber table: the
-/// staged batch is decided via grouped per-tenant dispatch, then the
-/// verdicts are settled in input order.
-fn flush_staged_subscribers(
-    table: &mut SubscriberTable<BitmapFilter>,
-    staging: &mut Staging,
-) -> Result<(), CliError> {
-    if staging.packets.is_empty() {
-        return Ok(());
-    }
-    staging.verdicts.clear();
-    table.process_batch(&staging.packets, &mut staging.verdicts);
-    staging.settle()
-}
-
 fn tenant_state_label(state: SubscriberState) -> &'static str {
     match state {
         SubscriberState::Dormant => "dormant",
@@ -954,11 +945,6 @@ fn print_tenant_table(table: &SubscriberTable<BitmapFilter>) {
     }
 }
 
-/// `upbound filter --subscribers <SPEC>` — replay through a multi-tenant
-/// [`SubscriberTable`] instead of a single `--inside` filter. Classification
-/// is longest prefix match over the spec's CIDRs; tenant filters
-/// materialize lazily on first packet and (with `--evict-idle`) recycle
-/// their bit storage through the shared arena while idle.
 /// Retries a *periodic* checkpoint write with bounded exponential
 /// backoff (3 attempts, 50 ms then 200 ms between them), counting every
 /// retry in `upbound_cli_checkpoint_retries_total`. Returns the last
@@ -1012,445 +998,375 @@ fn checkpointing_disabled(registry: &Registry, path: &str, error: &str) {
     );
 }
 
-fn cmd_filter_subscribers(args: &Args) -> Result<Outcome, CliError> {
-    let spec_path = args
-        .get("subscribers")
-        .ok_or_else(|| usage("--subscribers requires a spec file path"))?;
-    let in_path = args
-        .get("in")
-        .ok_or_else(|| usage("filter requires --in <FILE>"))?;
-    for flag in [
-        "inside",
-        "shards",
-        "metrics-addr",
-        "flight-dump",
-        "trace-latency",
-        "serve-grace",
-        "overload-policy",
-        "fault-plan",
-    ] {
-        if args.has(flag) {
+/// What `upbound filter` does differently for one `--inside` network (a
+/// [`Bank`] of shards) and for a `--subscribers` table ([`Tenants`]).
+/// Everything else — reading, the dataplane core, `--out`, checkpoints,
+/// reports and the summary — is [`run_filter`].
+trait FilterKind {
+    type Filter: PacketFilter;
+
+    /// What a restored checkpoint brings back, for the restore message.
+    const RESTORED: &'static str;
+    /// What starts cold when the checkpoint is stale.
+    const COLD: &'static str;
+
+    /// The filter the dataplane core decides through.
+    fn filter(&mut self) -> &mut Self::Filter;
+
+    /// The packet's accounting direction.
+    fn direction_of(&self, packet: &Packet) -> Direction;
+
+    /// Restores the checkpoint at `path`, judging staleness at `now`.
+    fn restore(&mut self, path: &str, now: Timestamp) -> Result<RestoreOutcome, String>;
+
+    /// Writes a checkpoint of the state at `now` to `path`.
+    fn checkpoint(&mut self, path: &str, now: Timestamp) -> Result<(), String>;
+
+    /// The tail of the final-checkpoint message.
+    fn checkpoint_note(&self) -> String;
+
+    /// Brings timers up to `now`: after each full batch, and before
+    /// every checkpoint, report and the summary.
+    fn advance(&mut self, _now: Timestamp) {}
+
+    /// Refreshes registry-backed state before a metrics snapshot.
+    fn publish(&mut self) {}
+
+    /// Prints the kind's own lines after an interval report, or after
+    /// the summary when `summary` is set.
+    fn print_tables(&self, _summary: bool) {}
+}
+
+/// One `--inside` network through a shard bank sharing one uplink
+/// monitor (global P_d).
+struct Bank {
+    filter: ShardedFilter<BitmapFilter<TelemetryObserver>>,
+    inside: Cidr,
+    expiry: TimeDelta,
+}
+
+impl Bank {
+    fn setup(
+        args: &Args,
+        flags: &FilterFlags,
+        registry: &Registry,
+        flight: &FlightRecorder,
+    ) -> Result<Self, CliError> {
+        let inside = inside_of(args).map_err(usage)?;
+        let config = flags.config()?;
+        println!(
+            "bitmap filter: {{{} x 2^{}}} = {} KiB, T_e = {:.0} s, m = {}{}{}{}",
+            config.vectors(),
+            config.vector_bits(),
+            config.memory_bytes() / 1024,
+            config.expiry_timer().as_secs_f64(),
+            config.hash_functions(),
+            if flags.shards > 1 {
+                format!(", {} shards", flags.shards)
+            } else {
+                String::new()
+            },
+            if flags.fail_mode == FailMode::Open {
+                ", fail-open"
+            } else {
+                ""
+            },
+            if flags.overload.enabled() {
+                ", overload ladder armed"
+            } else {
+                ""
+            }
+        );
+        // The shards publish into the same registry — `counter()` is
+        // get-or-create, so the per-shard observers merge into one set
+        // of metrics.
+        let uplink = Arc::new(config.uplink_monitor());
+        let shard_filters = (0..flags.shards)
+            .map(|_| {
+                BitmapFilter::with_observer(
+                    config.clone(),
+                    TelemetryObserver::with_default_journal(registry, "core")
+                        .with_flight_recorder(flight.clone()),
+                )
+                .with_shared_uplink(Arc::clone(&uplink))
+                .with_overload_policy(flags.overload.clone())
+            })
+            .collect();
+        Ok(Self {
+            filter: ShardedFilter::from_shards(
+                FlowHash::new(config.hole_punching()),
+                uplink,
+                shard_filters,
+            ),
+            inside,
+            expiry: config.expiry_timer(),
+        })
+    }
+}
+
+impl FilterKind for Bank {
+    type Filter = ShardedFilter<BitmapFilter<TelemetryObserver>>;
+
+    const RESTORED: &'static str = "filter state";
+    const COLD: &'static str = "bitmap starts cold";
+
+    fn filter(&mut self) -> &mut Self::Filter {
+        &mut self.filter
+    }
+
+    fn direction_of(&self, packet: &Packet) -> Direction {
+        self.inside.direction_of(&packet.tuple())
+    }
+
+    fn restore(&mut self, path: &str, now: Timestamp) -> Result<RestoreOutcome, String> {
+        self.filter
+            .restore_from(Path::new(path), now, self.expiry)
+            .map_err(|e| e.to_string())
+    }
+
+    fn checkpoint(&mut self, path: &str, now: Timestamp) -> Result<(), String> {
+        self.filter
+            .checkpoint_to(Path::new(path), now)
+            .map_err(|e| e.to_string())
+    }
+
+    fn checkpoint_note(&self) -> String {
+        " total".to_owned()
+    }
+}
+
+/// A `--subscribers` table: tenants classified by longest prefix match,
+/// materialized lazily on first packet and (with `--evict-idle`)
+/// recycling their bit storage through a shared arena while idle.
+struct Tenants {
+    table: SubscriberTable<BitmapFilter>,
+    classifier: SubscriberClassifier,
+    telemetry: SubscriberTelemetry,
+    stale_after: TimeDelta,
+}
+
+impl Tenants {
+    fn setup(
+        args: &Args,
+        spec_path: &str,
+        flags: &FilterFlags,
+        registry: &Registry,
+    ) -> Result<Self, CliError> {
+        let defaults = &flags.bitmap;
+        let spec_text =
+            std::fs::read_to_string(spec_path).map_err(|e| runtime(format!("{spec_path}: {e}")))?;
+        let specs = parse_subscriber_spec(&spec_text, defaults)
+            .map_err(|e| usage(format!("--subscribers {spec_path}: {e}")))?;
+
+        let mut table = SubscriberTable::new();
+        let mut stale_after = TimeDelta::ZERO;
+        for spec in &specs {
+            stale_after = stale_after.max(spec.config.expiry_timer());
+            table
+                .add_named_subscriber(&spec.name, spec.cidr, spec.config.clone())
+                .map_err(|e| usage(format!("--subscribers {spec_path}: {}: {e}", spec.cidr)))?;
+        }
+        if args.has("evict-idle") {
+            let secs: f64 = args.parse_num("evict-idle", 0.0).map_err(usage)?;
+            if secs < 0.0 || !secs.is_finite() {
+                return Err(usage(format!(
+                    "--evict-idle expects a non-negative number of seconds, got {secs}"
+                )));
+            }
+            table.evict_idle_after(TimeDelta::from_secs(secs));
+        }
+        println!(
+            "subscriber table: {} provisioned, defaults {{{} x 2^{}}}, T_e = {:.0} s default{}",
+            table.len(),
+            defaults.vectors,
+            defaults.vector_bits,
+            defaults.rotate_secs * defaults.vectors as f64,
+            if args.has("evict-idle") {
+                ", idle eviction on"
+            } else {
+                ""
+            }
+        );
+        Ok(Self {
+            classifier: table.classifier(),
+            table,
+            telemetry: SubscriberTelemetry::new(registry.clone()),
+            stale_after,
+        })
+    }
+}
+
+impl FilterKind for Tenants {
+    type Filter = SubscriberTable<BitmapFilter>;
+
+    const RESTORED: &'static str = "subscriber table";
+    const COLD: &'static str = "tenants start cold";
+
+    fn filter(&mut self) -> &mut Self::Filter {
+        &mut self.table
+    }
+
+    fn direction_of(&self, packet: &Packet) -> Direction {
+        self.classifier.direction_of(packet)
+    }
+
+    fn restore(&mut self, path: &str, now: Timestamp) -> Result<RestoreOutcome, String> {
+        let bytes = snapshot::read_file(Path::new(path)).map_err(|e| e.to_string())?;
+        self.table
+            .restore_bytes(&bytes, now, self.stale_after)
+            .map_err(|e| e.to_string())
+    }
+
+    fn checkpoint(&mut self, path: &str, now: Timestamp) -> Result<(), String> {
+        snapshot::write_atomic(Path::new(path), &self.table.snapshot_bytes(now))
+            .map_err(|e| e.to_string())
+    }
+
+    fn checkpoint_note(&self) -> String {
+        format!(
+            ", {} tenant(s) serialized",
+            self.table.last_checkpoint_tenants()
+        )
+    }
+
+    fn advance(&mut self, now: Timestamp) {
+        self.table.advance(now);
+    }
+
+    fn publish(&mut self) {
+        self.telemetry.publish(&self.table);
+    }
+
+    fn print_tables(&self, summary: bool) {
+        let table = &self.table;
+        if summary {
+            let (reuses, fresh) = table.arena_counters();
+            println!(
+                "subscribers: {} active / {} provisioned; {} B resident, {} B pooled \
+                 (arena: {} reuse(s), {} fresh); {} outbound drop anomaly(ies)",
+                table.active_subscribers(),
+                table.len(),
+                table.memory_bytes(),
+                table.arena_pooled_bytes(),
+                reuses,
+                fresh,
+                table.outbound_drop_anomalies()
+            );
+        }
+        print_tenant_table(table);
+    }
+}
+
+/// Observability flags of `upbound filter`, parsed up front.
+struct ObservabilityFlags {
+    metrics: Option<(String, MetricsFormat)>,
+    metrics_interval: f64,
+    metrics_addr: Option<String>,
+    flight_dump: Option<String>,
+    trace_latency: bool,
+    serve_grace: f64,
+}
+
+impl ObservabilityFlags {
+    fn parse(args: &Args) -> Result<Self, CliError> {
+        let metrics = metrics_sink(args).map_err(usage)?;
+        let metrics_interval: f64 = args.parse_num("metrics-interval", 0.0).map_err(usage)?;
+        if metrics_interval < 0.0 || !metrics_interval.is_finite() {
+            return Err(usage(format!(
+                "--metrics-interval expects a non-negative number of seconds, got {metrics_interval}"
+            )));
+        }
+        let metrics_addr = match args.get("metrics-addr") {
+            None if args.has("metrics-addr") => {
+                return Err(usage("--metrics-addr expects <HOST:PORT>"));
+            }
+            other => other.map(str::to_owned),
+        };
+        let flight_dump = match args.get("flight-dump") {
+            None if args.has("flight-dump") => {
+                return Err(usage("--flight-dump requires a file path"));
+            }
+            other => other.map(str::to_owned),
+        };
+        let serve_grace: f64 = args.parse_num("serve-grace", 0.0).map_err(usage)?;
+        if serve_grace < 0.0 || !serve_grace.is_finite() {
+            return Err(usage(format!(
+                "--serve-grace expects a non-negative number of seconds, got {serve_grace}"
+            )));
+        }
+        if serve_grace > 0.0 && metrics_addr.is_none() {
+            return Err(usage("--serve-grace requires --metrics-addr <HOST:PORT>"));
+        }
+        Ok(Self {
+            metrics,
+            metrics_interval,
+            metrics_addr,
+            flight_dump,
+            trace_latency: args.has("trace-latency"),
+            serve_grace,
+        })
+    }
+}
+
+/// Flags `filter --subscribers` cannot honor.
+const NOT_WITH_SUBSCRIBERS: [&str; 8] = [
+    "inside",
+    "shards",
+    "metrics-addr",
+    "flight-dump",
+    "trace-latency",
+    "serve-grace",
+    "overload-policy",
+    "fault-plan",
+];
+
+/// `upbound filter` — replay a pcap through one `--inside` network's
+/// filter or, with `--subscribers <SPEC>`, a multi-tenant
+/// [`SubscriberTable`]; both run the same loop ([`run_filter`]).
+fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
+    let spec_path = match args.get("subscribers") {
+        None if args.has("subscribers") => {
+            return Err(usage("--subscribers requires a spec file path"));
+        }
+        other => other,
+    };
+    if spec_path.is_some() {
+        if let Some(flag) = NOT_WITH_SUBSCRIBERS.iter().find(|f| args.has(f)) {
             return Err(usage(format!(
                 "--{flag} cannot be combined with --subscribers"
             )));
         }
-    }
-    match args.get("fail-mode") {
-        None if args.has("fail-mode") => {
-            return Err(usage("--fail-mode expects `open` or `closed`"));
-        }
-        None | Some("closed") => {}
-        Some(v) => match FailMode::parse(v) {
-            Some(FailMode::Open) => {
-                return Err(usage(
-                    "--fail-mode open cannot be combined with --subscribers \
-                     (idle tenants park only when their bitmaps are provably empty)",
-                ));
-            }
-            _ => {
-                return Err(usage(format!(
-                    "--fail-mode expects `open` or `closed`, got {v:?}"
-                )));
-            }
-        },
-    }
-
-    let metrics = metrics_sink(args).map_err(usage)?;
-    let metrics_interval: f64 = args.parse_num("metrics-interval", 0.0).map_err(usage)?;
-    if metrics_interval < 0.0 || !metrics_interval.is_finite() {
-        return Err(usage(format!(
-            "--metrics-interval expects a non-negative number of seconds, got {metrics_interval}"
-        )));
-    }
-    let checkpoint = match args.get("checkpoint") {
-        None if args.has("checkpoint") => {
-            return Err(usage("--checkpoint requires a file path"));
-        }
-        other => other.map(str::to_owned),
-    };
-    let checkpoint_interval: f64 = args.parse_num("checkpoint-interval", 30.0).map_err(usage)?;
-    if checkpoint_interval <= 0.0 || !checkpoint_interval.is_finite() {
-        return Err(usage(format!(
-            "--checkpoint-interval expects a positive number of seconds, got {checkpoint_interval}"
-        )));
-    }
-    if args.has("checkpoint-interval") && checkpoint.is_none() {
-        return Err(usage("--checkpoint-interval requires --checkpoint <FILE>"));
-    }
-    let batch_size: usize = args.parse_num("batch-size", 64usize).map_err(usage)?;
-    if batch_size == 0 {
-        return Err(usage("--batch-size expects at least 1"));
-    }
-
-    let defaults = TenantDefaults::of(args)?;
-    let spec_text =
-        std::fs::read_to_string(spec_path).map_err(|e| runtime(format!("{spec_path}: {e}")))?;
-    let specs = parse_subscriber_spec(&spec_text, &defaults)
-        .map_err(|e| usage(format!("--subscribers {spec_path}: {e}")))?;
-
-    let mut table = SubscriberTable::new();
-    let mut stale_after = TimeDelta::ZERO;
-    for spec in &specs {
-        stale_after = stale_after.max(spec.config.expiry_timer());
-        table
-            .add_named_subscriber(&spec.name, spec.cidr, spec.config.clone())
-            .map_err(|e| usage(format!("--subscribers {spec_path}: {}: {e}", spec.cidr)))?;
-    }
-    if args.has("evict-idle") {
-        let secs: f64 = args.parse_num("evict-idle", 0.0).map_err(usage)?;
-        if secs < 0.0 || !secs.is_finite() {
-            return Err(usage(format!(
-                "--evict-idle expects a non-negative number of seconds, got {secs}"
-            )));
-        }
-        table.evict_idle_after(TimeDelta::from_secs(secs));
-    }
-    let classifier = table.classifier();
-    println!(
-        "subscriber table: {} provisioned, defaults {{{} x 2^{}}}, T_e = {:.0} s default{}",
-        table.len(),
-        defaults.vectors,
-        defaults.vector_bits,
-        defaults.rotate_secs * defaults.vectors as f64,
-        if args.has("evict-idle") {
-            ", idle eviction on"
-        } else {
-            ""
-        }
-    );
-
-    let registry = Registry::new();
-    registry.build_info(
-        env!("CARGO_PKG_VERSION"),
-        option_env!("UPBOUND_GIT_DESCRIBE"),
-    );
-    let mut telemetry = SubscriberTelemetry::new(registry.clone());
-    let ingest_metrics = IngestTelemetry::register(&registry);
-
-    let policy = recovery_policy_of(args).map_err(usage)?;
-    let file = File::open(in_path).map_err(|e| runtime(format!("{in_path}: {e}")))?;
-    let mut reader = PcapReader::with_policy(file, policy).map_err(|e| runtime(e.to_string()))?;
-    let mut staging = Staging::new(!args.has("no-block"), batch_size, out_writer(args)?);
-    let mut total = 0u64;
-    let mut up_bits = 0u64;
-    let mut last_ts = upbound::net::Timestamp::ZERO;
-    let mut outcome = Outcome::Done;
-
-    let mut pending_restore = checkpoint.as_deref().is_some_and(|p| Path::new(p).exists());
-    let mut next_checkpoint: Option<f64> = checkpoint.as_ref().map(|_| checkpoint_interval);
-    let mut checkpoints_written = 0u64;
-    let mut next_report = (metrics_interval > 0.0).then_some(metrics_interval);
-    let mut prev_snapshot = registry.snapshot();
-
-    while let Some(record) = reader.read_record().map_err(|e| runtime(e.to_string()))? {
-        let (p, frame) = (record.packet, record.frame);
-        if signals::interrupted() {
-            flush_staged_subscribers(&mut table, &mut staging)?;
-            outcome = Outcome::Interrupted;
-            break;
-        }
-        total += 1;
-        last_ts = last_ts.max(p.ts());
-        if pending_restore {
-            pending_restore = false;
-            let path = checkpoint.as_deref().unwrap_or_default();
-            let bytes = snapshot::read_file(Path::new(path))
-                .map_err(|e| runtime(format!("{path}: checkpoint restore failed: {e}")))?;
-            match table.restore_bytes(&bytes, p.ts(), stale_after) {
-                Ok(RestoreOutcome::Warm) => {
-                    println!("restored warm subscriber table from checkpoint {path}");
-                }
-                Ok(RestoreOutcome::Cold) => {
-                    println!(
-                        "checkpoint {path} is older than T_e; restored statistics, \
-                         tenants start cold"
-                    );
-                }
-                Err(e) => {
-                    return Err(runtime(format!("{path}: checkpoint restore failed: {e}")));
-                }
-            }
-        }
-        if let Some(boundary) = next_checkpoint {
-            let t = p.ts().as_secs_f64();
-            if t >= boundary {
-                flush_staged_subscribers(&mut table, &mut staging)?;
-                table.advance(last_ts);
-                let path = checkpoint.as_deref().unwrap_or_default();
-                let wrote = checkpoint_with_backoff(&registry, || {
-                    snapshot::write_atomic(Path::new(path), &table.snapshot_bytes(last_ts))
-                        .map_err(|e| e.to_string())
-                });
-                match wrote {
-                    Ok(()) => {
-                        checkpoints_written += 1;
-                        let elapsed = ((t - boundary) / checkpoint_interval).floor() + 1.0;
-                        next_checkpoint = Some(boundary + elapsed * checkpoint_interval);
-                    }
-                    Err(e) => {
-                        checkpointing_disabled(&registry, path, &e);
-                        next_checkpoint = None;
-                    }
-                }
-            }
-        }
-        if let Some(boundary) = next_report {
-            let t = p.ts().as_secs_f64();
-            if t >= boundary {
-                flush_staged_subscribers(&mut table, &mut staging)?;
-                table.advance(last_ts);
-                telemetry.publish(&table);
-                let snapshot = registry.snapshot();
-                println!("--- metrics @ t={boundary:.1}s ---");
-                print!(
-                    "{}",
-                    export::human::render(&snapshot, Some((&prev_snapshot, metrics_interval)))
-                );
-                print_tenant_table(&table);
-                prev_snapshot = snapshot;
-                let elapsed = ((t - boundary) / metrics_interval).floor() + 1.0;
-                next_report = Some(boundary + elapsed * metrics_interval);
-            }
-        }
-        let direction = classifier.direction_of(&p);
-        if direction == Direction::Outbound {
-            up_bits += p.wire_bits();
-        }
-        let tuple = p.tuple();
-        let conn = tuple.canonical();
-        if staging.must_flush_before(&conn) {
-            flush_staged_subscribers(&mut table, &mut staging)?;
-        }
-        // A packet whose source is a subscriber is decided as outbound
-        // there and always passes. Hairpin traffic (destination also a
-        // subscriber) is kept in the hazard set all the same: it enters a
-        // second subscriber's network, and must not be batched past if
-        // that subscriber ever decides it.
-        let may_drop = direction == Direction::Inbound
-            || classifier.subscriber_of(*tuple.dst().ip()).is_some();
-        if staging.stage(p, direction, conn, may_drop, Some(frame), batch_size) {
-            flush_staged_subscribers(&mut table, &mut staging)?;
-            table.advance(last_ts);
-        }
-    }
-    flush_staged_subscribers(&mut table, &mut staging)?;
-    table.advance(last_ts);
-    staging.finish_output()?;
-    ingest_metrics.publish(reader.stats());
-    report_skips(reader.stats());
-
-    if let Some(path) = checkpoint.as_deref() {
-        if total > 0 {
-            snapshot::write_atomic(Path::new(path), &table.snapshot_bytes(last_ts))
-                .map_err(|e| runtime(format!("{path}: final checkpoint failed: {e}")))?;
-            checkpoints_written += 1;
-            println!(
-                "wrote final checkpoint to {path} ({checkpoints_written} checkpoint(s), \
-                 {} tenant(s) serialized)",
-                table.last_checkpoint_tenants()
-            );
-        }
-    }
-
-    let span = last_ts.as_secs_f64().max(1e-9);
-    println!(
-        "{} packets; dropped {} ({:.2}%); blocked {} connections",
-        total,
-        staging.dropped,
-        staging.dropped as f64 / total.max(1) as f64 * 100.0,
-        staging.blocked.len()
-    );
-    println!(
-        "uplink: {:.2} Mbps offered -> {:.2} Mbps after filtering",
-        up_bits as f64 / span / 1e6,
-        staging.up_kept as f64 / span / 1e6
-    );
-    let (reuses, fresh) = table.arena_counters();
-    println!(
-        "subscribers: {} active / {} provisioned; {} B resident, {} B pooled \
-         (arena: {} reuse(s), {} fresh); {} outbound drop anomaly(ies)",
-        table.active_subscribers(),
-        table.len(),
-        table.memory_bytes(),
-        table.arena_pooled_bytes(),
-        reuses,
-        fresh,
-        table.outbound_drop_anomalies()
-    );
-    print_tenant_table(&table);
-    if let Some((path, format)) = &metrics {
-        telemetry.publish(&table);
-        write_metrics(path, format, &registry.snapshot()).map_err(runtime)?;
-    }
-    Ok(outcome)
-}
-
-fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
-    if args.has("subscribers") {
-        return cmd_filter_subscribers(args);
-    }
-    if args.has("evict-idle") {
+    } else if args.has("evict-idle") {
         return Err(usage("--evict-idle requires --subscribers <SPEC>"));
     }
     let in_path = args
         .get("in")
         .ok_or_else(|| usage("filter requires --in <FILE>"))?;
-    let inside = inside_of(args).map_err(usage)?;
-    let low: f64 = args.parse_num("low-mbps", 0.0).map_err(usage)?;
-    let high: f64 = args.parse_num("high-mbps", 0.0).map_err(usage)?;
-    let metrics = metrics_sink(args).map_err(usage)?;
-    let metrics_interval: f64 = args.parse_num("metrics-interval", 0.0).map_err(usage)?;
-    if metrics_interval < 0.0 || !metrics_interval.is_finite() {
-        return Err(usage(format!(
-            "--metrics-interval expects a non-negative number of seconds, got {metrics_interval}"
-        )));
+    let flags = FilterFlags::parse(args)?;
+    if spec_path.is_some() && flags.fail_mode == FailMode::Open {
+        return Err(usage(
+            "--fail-mode open cannot be combined with --subscribers \
+             (idle tenants park only when their bitmaps are provably empty)",
+        ));
     }
-    let metrics_addr = match args.get("metrics-addr") {
-        None if args.has("metrics-addr") => {
-            return Err(usage("--metrics-addr expects <HOST:PORT>"));
-        }
-        other => other.map(str::to_owned),
-    };
-    let flight_dump = match args.get("flight-dump") {
-        None if args.has("flight-dump") => {
-            return Err(usage("--flight-dump requires a file path"));
-        }
-        other => other.map(str::to_owned),
-    };
-    let trace_latency = args.has("trace-latency");
-    let serve_grace: f64 = args.parse_num("serve-grace", 0.0).map_err(usage)?;
-    if serve_grace < 0.0 || !serve_grace.is_finite() {
-        return Err(usage(format!(
-            "--serve-grace expects a non-negative number of seconds, got {serve_grace}"
-        )));
-    }
-    if serve_grace > 0.0 && metrics_addr.is_none() {
-        return Err(usage("--serve-grace requires --metrics-addr <HOST:PORT>"));
-    }
-    let fail_mode = match args.get("fail-mode") {
-        None if args.has("fail-mode") => {
-            return Err(usage("--fail-mode expects `open` or `closed`"));
-        }
-        None => FailMode::Closed,
-        Some(v) => FailMode::parse(v)
-            .ok_or_else(|| usage(format!("--fail-mode expects `open` or `closed`, got {v:?}")))?,
-    };
-    let checkpoint = match args.get("checkpoint") {
-        None if args.has("checkpoint") => {
-            return Err(usage("--checkpoint requires a file path"));
-        }
-        other => other.map(str::to_owned),
-    };
-    let checkpoint_interval: f64 = args.parse_num("checkpoint-interval", 30.0).map_err(usage)?;
-    if checkpoint_interval <= 0.0 || !checkpoint_interval.is_finite() {
-        return Err(usage(format!(
-            "--checkpoint-interval expects a positive number of seconds, got {checkpoint_interval}"
-        )));
-    }
-    if args.has("checkpoint-interval") && checkpoint.is_none() {
-        return Err(usage("--checkpoint-interval requires --checkpoint <FILE>"));
-    }
-    let overload = match args.get("overload-policy") {
-        None if args.has("overload-policy") => {
-            return Err(usage(
-                "--overload-policy expects off|balanced|strict[,key=value...]",
-            ));
-        }
-        None => OverloadPolicy::off(),
-        Some(spec) => {
-            OverloadPolicy::parse(spec).map_err(|e| usage(format!("--overload-policy: {e}")))?
-        }
-    };
-    let fault_plan = match args.get("fault-plan") {
-        None if args.has("fault-plan") => {
-            return Err(usage(
-                "--fault-plan expects `none` or key=value fields (seed, corrupt, \
-                 reorder, skew, skew-secs, panics, ckpt)",
-            ));
-        }
-        None => None,
-        Some(spec) => {
-            let plan = FaultPlan::parse(spec).map_err(|e| usage(format!("--fault-plan: {e}")))?;
-            if plan.panics() > 0 {
-                return Err(usage(
-                    "--fault-plan panics=N needs a shard supervisor to catch them; \
-                     it is only supported by the supervised pipeline (chaos harness), \
-                     not the CLI replay path",
-                ));
-            }
-            (!plan.is_none()).then_some(plan)
-        }
-    };
+    let obs = ObservabilityFlags::parse(args)?;
 
-    let mut builder = BitmapFilterConfig::builder();
-    builder
-        .vector_bits(args.parse_num("vector-bits", 20u32).map_err(usage)?)
-        .vectors(args.parse_num("vectors", 4usize).map_err(usage)?)
-        .rotate_every_secs(args.parse_num("rotate-secs", 5.0f64).map_err(usage)?)
-        .hash_functions(args.parse_num("hashes", 3usize).map_err(usage)?)
-        .hole_punching(args.has("hole-punching"))
-        .fail_mode(fail_mode);
-    if high > 0.0 {
-        builder
-            .drop_policy(DropPolicy::new(low * 1e6, high * 1e6).map_err(|e| usage(e.to_string()))?);
-    }
-    let config = builder.build().map_err(|e| usage(e.to_string()))?;
-    let policy = recovery_policy_of(args).map_err(usage)?;
-    let shards: usize = args.parse_num("shards", 1usize).map_err(usage)?;
-    if shards == 0 {
-        return Err(usage("--shards expects at least 1"));
-    }
-    // Default matches the batch_throughput bench's sweet spot; 1 restores
-    // the old packet-at-a-time behavior exactly.
-    let batch_size: usize = args.parse_num("batch-size", 64usize).map_err(usage)?;
-    if batch_size == 0 {
-        return Err(usage("--batch-size expects at least 1"));
-    }
-    println!(
-        "bitmap filter: {{{} x 2^{}}} = {} KiB, T_e = {:.0} s, m = {}{}{}{}",
-        config.vectors(),
-        config.vector_bits(),
-        config.memory_bytes() / 1024,
-        config.expiry_timer().as_secs_f64(),
-        config.hash_functions(),
-        if shards > 1 {
-            format!(", {shards} shards")
-        } else {
-            String::new()
-        },
-        if fail_mode == FailMode::Open {
-            ", fail-open"
-        } else {
-            ""
-        },
-        if overload.enabled() {
-            ", overload ladder armed"
-        } else {
-            ""
-        }
-    );
     let registry = Registry::new();
     registry.build_info(
         env!("CARGO_PKG_VERSION"),
         option_env!("UPBOUND_GIT_DESCRIBE"),
     );
-
     // The black box rides along on every run (it is just a pair of ring
     // buffers); only --flight-dump gives it somewhere to land. Dumps
     // fire on panic, on SIGUSR1, and — fail-open deployments' scariest
     // moment — when a degraded filter arms.
-    let fail_mode_label = if fail_mode == FailMode::Open {
-        "open"
-    } else {
-        "closed"
-    };
     let flight = FlightRecorder::default();
     flight.attach_registry(registry.clone());
     flight.set_meta("input", in_path);
-    flight.set_meta("shards", &shards.to_string());
-    flight.set_meta("fail_mode", fail_mode_label);
+    flight.set_meta("shards", &flags.shards.to_string());
+    flight.set_meta("fail_mode", fail_mode_label(flags.fail_mode));
     flight.set_dump_on_armed(true);
-    if let Some(path) = &flight_dump {
+    if let Some(path) = &obs.flight_dump {
         flight.set_dump_path(path);
         let hook_flight = flight.clone();
         let previous = std::panic::take_hook();
@@ -1459,29 +1375,55 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
             previous(info);
         }));
     }
-    let health = HealthState::new();
-    health.set_fail_mode(fail_mode_label);
-    let tracer = trace_latency.then(|| StageTracer::new(&registry, "cli"));
-
-    // All shards share one uplink monitor (global P_d) and publish into
-    // the same registry — `counter()` is get-or-create, so the per-shard
-    // observers merge into one set of metrics.
-    let uplink = Arc::new(config.uplink_monitor());
-    let shard_filters = (0..shards)
-        .map(|_| {
-            BitmapFilter::with_observer(
-                config.clone(),
-                TelemetryObserver::with_default_journal(&registry, "core")
-                    .with_flight_recorder(flight.clone()),
+    match spec_path {
+        Some(spec_path) => {
+            let mut tenants = Tenants::setup(args, spec_path, &flags, &registry)?;
+            run_filter(
+                args,
+                in_path,
+                &flags,
+                &obs,
+                &registry,
+                &flight,
+                &mut tenants,
             )
-            .with_shared_uplink(Arc::clone(&uplink))
-            .with_overload_policy(overload.clone())
-        })
-        .collect();
-    let filter =
-        ShardedFilter::from_shards(FlowHash::new(config.hole_punching()), uplink, shard_filters);
+        }
+        None => {
+            let mut bank = Bank::setup(args, &flags, &registry, &flight)?;
+            run_filter(args, in_path, &flags, &obs, &registry, &flight, &mut bank)
+        }
+    }
+}
 
-    let server = match &metrics_addr {
+fn fail_mode_label(mode: FailMode) -> &'static str {
+    if mode == FailMode::Open {
+        "open"
+    } else {
+        "closed"
+    }
+}
+
+/// The `upbound filter` replay loop, shared by both filter kinds.
+///
+/// Packets are read from the capture (or from the fault plan's
+/// distorted copy of it), classified by the kind, and offered to the
+/// dataplane core, which decides them in batches, blocks connections,
+/// and hands each back in input order for `--out`. Boundaries that read
+/// or write filter state (checkpoints, metrics reports, shutdown) flush
+/// the core first so they observe exactly the packets before them.
+fn run_filter<K: FilterKind>(
+    args: &Args,
+    in_path: &str,
+    flags: &FilterFlags,
+    obs: &ObservabilityFlags,
+    registry: &Registry,
+    flight: &FlightRecorder,
+    kind: &mut K,
+) -> Result<Outcome, CliError> {
+    let health = HealthState::new();
+    health.set_fail_mode(fail_mode_label(flags.fail_mode));
+    let tracer = obs.trace_latency.then(|| StageTracer::new(registry, "cli"));
+    let server = match &obs.metrics_addr {
         Some(addr) => {
             let server = MetricsServer::start(addr, registry.clone(), health.clone())
                 .map_err(|e| runtime(format!("--metrics-addr {addr}: {e}")))?;
@@ -1494,68 +1436,62 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
         None => None,
     };
 
-    let ingest_metrics = IngestTelemetry::register(&registry);
+    let ingest_metrics = IngestTelemetry::register(registry);
+    let policy = recovery_policy_of(args).map_err(usage)?;
     let file = File::open(in_path).map_err(|e| runtime(format!("{in_path}: {e}")))?;
     let mut reader = PcapReader::with_policy(file, policy).map_err(|e| runtime(e.to_string()))?;
-    let mut staging = Staging::new(!args.has("no-block"), batch_size, out_writer(args)?);
-
-    // A fault plan's stream faults (corruption, reorder bursts, skew
-    // spikes) need the whole stream, so the trace is drained up front
-    // and replayed from memory; without a plan the reader streams.
-    let mut distorted: Option<std::vec::IntoIter<Packet>> = match &fault_plan {
-        Some(plan) => {
-            let mut all = Vec::new();
-            while let Some(p) = reader.read_packet().map_err(|e| runtime(e.to_string()))? {
-                all.push(p);
+    let mut writer = out_writer(args)?;
+    let keep_frames = writer.is_some();
+    let blocking = if args.has("no-block") {
+        Blocking::Off
+    } else {
+        Blocking::Permanent
+    };
+    let mut core = Dataplane::new(blocking, flags.batch_size, tracer.clone());
+    // Passed packets go to `--out`: the captured frame verbatim, or a
+    // re-encoding for the fault plan's in-memory stream.
+    let mut emit = |settled: Settled<'_>| -> Result<(), CliError> {
+        if let (Fate::Passed, Some(w)) = (settled.fate, writer.as_mut()) {
+            let packet = settled.packet;
+            match settled.frame {
+                Some(frame) => w.write_frame(packet.ts(), packet.wire_len(), frame),
+                None => w.write_packet(packet),
             }
-            let (stream, report) = plan.distort_stream(all);
-            println!(
-                "fault plan armed (seed {}): corrupted {} packet(s), {} reorder burst(s), \
-                 {} skewed packet(s)",
-                plan.seed(),
-                report.corrupted,
-                report.reorder_bursts,
-                report.skewed
-            );
-            Some(stream.into_iter())
+            .map_err(|e| runtime(e.to_string()))?;
         }
+        Ok(())
+    };
+
+    let mut distorted = match &flags.fault_plan {
+        Some(plan) => Some(distorted_stream(&mut reader, plan)?.into_iter()),
         None => None,
     };
     // Checkpoint-fault injection rides the same plan; periodic writes it
     // fails go through the bounded-backoff retry path below.
-    let mut ckpt_injector: Option<PlannedInjector> = fault_plan.as_ref().map(FaultPlan::injector);
+    let mut ckpt_injector: Option<PlannedInjector> =
+        flags.fault_plan.as_ref().map(FaultPlan::injector);
     let mut ckpt_attempts = 0u64;
 
+    let checkpoint = flags.checkpoint.as_deref();
     let mut total = 0u64;
-    let mut up_bits = 0u64;
-    let mut last_ts = upbound::net::Timestamp::ZERO;
+    let mut last_ts = Timestamp::ZERO;
     let mut outcome = Outcome::Done;
-
     // Restore is deferred to the first packet so staleness is judged
-    // against *trace time* (the clock the filter runs on), not the
-    // wall clock of the restarted process. A missing file is a normal
-    // cold start, not an error.
-    let mut pending_restore = checkpoint.as_deref().is_some_and(|p| Path::new(p).exists());
-    // Periodic checkpoints are keyed to trace time, like metrics.
-    let mut next_checkpoint: Option<f64> = checkpoint.as_ref().map(|_| checkpoint_interval);
+    // against *trace time* (the clock the filter runs on), not the wall
+    // clock of the restarted process. A missing file is a normal cold
+    // start, not an error.
+    let mut pending_restore = checkpoint.is_some_and(|p| Path::new(p).exists());
+    // Periodic checkpoints and interval reports are keyed to trace time:
+    // each fires when packet timestamps cross its next boundary.
+    let mut next_checkpoint = checkpoint.map(|_| flags.checkpoint_interval);
     let mut checkpoints_written = 0u64;
-
-    // Interval reporting is keyed to trace time: a report is emitted
-    // each time packet timestamps cross the next interval boundary.
-    let mut next_report = (metrics_interval > 0.0).then_some(metrics_interval);
+    let mut next_report = (obs.metrics_interval > 0.0).then_some(obs.metrics_interval);
     let mut prev_snapshot = registry.snapshot();
 
-    // Packets are decided in batches through `ShardedFilter::process_batch`,
-    // which takes each shard lock once per batch. Boundaries that read or
-    // write filter state (checkpoints, metrics reports, shutdown) flush the
-    // staged batch first so they observe exactly the packets before them,
-    // and a packet whose connection has a staged inbound packet forces a
-    // flush so the blocked-connection check sees any drop the batch would
-    // produce. Outbound packets always pass, so they never block.
     loop {
         let next = {
             let _t = tracer.as_ref().map(|t| t.scope(Stage::Ingest));
-            let started = trace_latency.then(std::time::Instant::now);
+            let started = obs.trace_latency.then(std::time::Instant::now);
             let next = match distorted.as_mut() {
                 Some(iter) => iter.next().map(|p| (p, None)),
                 None => reader
@@ -1570,108 +1506,94 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
         };
         let Some((p, frame)) = next else { break };
         if signals::interrupted() {
-            flush_staged(&filter, &mut staging, tracer.as_ref())?;
+            core.flush(kind.filter(), &mut emit)?;
             outcome = Outcome::Interrupted;
             break;
         }
         if signals::dump_requested() {
-            flush_staged(&filter, &mut staging, tracer.as_ref())?;
-            match flight.dump_now(DumpTrigger::Signal) {
-                Ok(Some(path)) => println!("SIGUSR1: wrote flight dump to {}", path.display()),
-                Ok(None) => eprintln!("SIGUSR1 received, but no --flight-dump path configured"),
-                Err(e) => eprintln!("SIGUSR1: flight dump failed: {e}"),
-            }
+            core.flush(kind.filter(), &mut emit)?;
+            dump_on_signal(flight);
         }
         total += 1;
         last_ts = last_ts.max(p.ts());
         if total.is_multiple_of(1024) {
             health.set_watermark(last_ts.as_micros());
         }
+        let t = p.ts().as_secs_f64();
         if pending_restore {
             pending_restore = false;
-            let path = checkpoint.as_deref().unwrap_or_default();
-            match filter.restore_from(Path::new(path), p.ts(), config.expiry_timer()) {
+            let path = checkpoint.unwrap_or_default();
+            match kind.restore(path, p.ts()) {
                 Ok(RestoreOutcome::Warm) => {
-                    println!("restored warm filter state from checkpoint {path}");
+                    println!("restored warm {} from checkpoint {path}", K::RESTORED);
                 }
-                Ok(RestoreOutcome::Cold) => {
-                    println!(
-                        "checkpoint {path} is older than T_e; restored statistics, \
-                         bitmap starts cold"
-                    );
-                }
+                Ok(RestoreOutcome::Cold) => println!(
+                    "checkpoint {path} is older than T_e; restored statistics, {}",
+                    K::COLD
+                ),
                 Err(e) => {
                     return Err(runtime(format!("{path}: checkpoint restore failed: {e}")));
                 }
             }
         }
-        if let Some(boundary) = next_checkpoint {
-            let t = p.ts().as_secs_f64();
-            if t >= boundary {
-                flush_staged(&filter, &mut staging, tracer.as_ref())?;
-                let path = checkpoint.as_deref().unwrap_or_default();
-                let wrote = checkpoint_with_backoff(&registry, || {
-                    let index = ckpt_attempts;
-                    ckpt_attempts += 1;
-                    if let Some(err) = ckpt_injector
-                        .as_mut()
-                        .and_then(|inj| inj.inject_checkpoint_error(index))
-                    {
-                        return Err(err.to_string());
-                    }
-                    filter
-                        .checkpoint_to(Path::new(path), last_ts)
-                        .map_err(|e| e.to_string())
-                });
-                match wrote {
-                    Ok(()) => {
-                        checkpoints_written += 1;
-                        let elapsed = ((t - boundary) / checkpoint_interval).floor() + 1.0;
-                        next_checkpoint = Some(boundary + elapsed * checkpoint_interval);
-                    }
-                    Err(e) => {
-                        checkpointing_disabled(&registry, path, &e);
-                        next_checkpoint = None;
-                    }
+        if let Some(boundary) = next_checkpoint.filter(|&b| t >= b) {
+            core.flush(kind.filter(), &mut emit)?;
+            kind.advance(last_ts);
+            let path = checkpoint.unwrap_or_default();
+            let wrote = checkpoint_with_backoff(registry, || {
+                let index = ckpt_attempts;
+                ckpt_attempts += 1;
+                if let Some(err) = ckpt_injector
+                    .as_mut()
+                    .and_then(|inj| inj.inject_checkpoint_error(index))
+                {
+                    return Err(err.to_string());
+                }
+                kind.checkpoint(path, last_ts)
+            });
+            match wrote {
+                Ok(()) => {
+                    checkpoints_written += 1;
+                    let elapsed = ((t - boundary) / flags.checkpoint_interval).floor() + 1.0;
+                    next_checkpoint = Some(boundary + elapsed * flags.checkpoint_interval);
+                }
+                Err(e) => {
+                    checkpointing_disabled(registry, path, &e);
+                    next_checkpoint = None;
                 }
             }
         }
-        if let Some(boundary) = next_report {
-            let t = p.ts().as_secs_f64();
-            if t >= boundary {
-                flush_staged(&filter, &mut staging, tracer.as_ref())?;
-                let snapshot = registry.snapshot();
-                println!("--- metrics @ t={boundary:.1}s ---");
-                print!(
-                    "{}",
-                    export::human::render(&snapshot, Some((&prev_snapshot, metrics_interval)))
-                );
-                prev_snapshot = snapshot;
-                // A single far-future timestamp (corrupt trace clock) may
-                // land millions of intervals ahead; jump straight to the
-                // first boundary past it instead of emitting one (empty)
-                // report per skipped interval.
-                let elapsed = ((t - boundary) / metrics_interval).floor() + 1.0;
-                next_report = Some(boundary + elapsed * metrics_interval);
-            }
+        if let Some(boundary) = next_report.filter(|&b| t >= b) {
+            core.flush(kind.filter(), &mut emit)?;
+            kind.advance(last_ts);
+            kind.publish();
+            let snapshot = registry.snapshot();
+            println!("--- metrics @ t={boundary:.1}s ---");
+            print!(
+                "{}",
+                export::human::render(&snapshot, Some((&prev_snapshot, obs.metrics_interval)))
+            );
+            kind.print_tables(false);
+            prev_snapshot = snapshot;
+            // A single far-future timestamp (corrupt trace clock) may
+            // land millions of intervals ahead; jump straight to the
+            // first boundary past it instead of emitting one (empty)
+            // report per skipped interval.
+            let elapsed = ((t - boundary) / obs.metrics_interval).floor() + 1.0;
+            next_report = Some(boundary + elapsed * obs.metrics_interval);
         }
-        let direction = inside.direction_of(&p.tuple());
-        if direction == Direction::Outbound {
-            up_bits += p.wire_bits();
-        }
-        let conn = p.tuple().canonical();
-        // A staged packet of the same connection may yield the drop that
-        // blocks this one; flush so the blocked check is current.
-        if staging.must_flush_before(&conn) {
-            flush_staged(&filter, &mut staging, tracer.as_ref())?;
-        }
-        let may_drop = direction == Direction::Inbound;
-        if staging.stage(p, direction, conn, may_drop, frame, batch_size) {
-            flush_staged(&filter, &mut staging, tracer.as_ref())?;
+        let direction = kind.direction_of(&p);
+        let frame = frame.filter(|_| keep_frames);
+        let decided = core.offer(kind.filter(), p, direction, frame, &mut emit)?;
+        if decided.is_some_and(|d| d.full) {
+            kind.advance(last_ts);
         }
     }
-    flush_staged(&filter, &mut staging, tracer.as_ref())?;
-    staging.finish_output()?;
+    core.flush(kind.filter(), &mut emit)?;
+    kind.advance(last_ts);
+    if let Some(w) = writer.take() {
+        w.finish().map_err(|e| runtime(e.to_string()))?;
+    }
     ingest_metrics.publish(reader.stats());
     report_skips(reader.stats());
 
@@ -1679,32 +1601,20 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
     // end-of-trace and on signal-initiated shutdown. Skipped when no
     // packet was processed, so an existing checkpoint is never
     // clobbered with fresh empty state.
-    if let Some(path) = checkpoint.as_deref() {
-        if total > 0 {
-            filter
-                .checkpoint_to(Path::new(path), last_ts)
-                .map_err(|e| runtime(format!("{path}: final checkpoint failed: {e}")))?;
-            checkpoints_written += 1;
-            println!(
-                "wrote final checkpoint to {path} ({checkpoints_written} checkpoint(s) total)"
-            );
-        }
+    if let Some(path) = checkpoint.filter(|_| total > 0) {
+        kind.checkpoint(path, last_ts)
+            .map_err(|e| runtime(format!("{path}: final checkpoint failed: {e}")))?;
+        checkpoints_written += 1;
+        println!(
+            "wrote final checkpoint to {path} ({checkpoints_written} checkpoint(s){})",
+            kind.checkpoint_note()
+        );
     }
 
-    let span = last_ts.as_secs_f64().max(1e-9);
-    println!(
-        "{} packets; dropped {} ({:.2}%); blocked {} connections",
-        total,
-        staging.dropped,
-        staging.dropped as f64 / total.max(1) as f64 * 100.0,
-        staging.blocked.len()
-    );
-    println!(
-        "uplink: {:.2} Mbps offered -> {:.2} Mbps after filtering",
-        up_bits as f64 / span / 1e6,
-        staging.up_kept as f64 / span / 1e6
-    );
-    if let Some((path, format)) = &metrics {
+    print_summary(&core.stats(), last_ts);
+    kind.print_tables(true);
+    if let Some((path, format)) = &obs.metrics {
+        kind.publish();
         write_metrics(path, format, &registry.snapshot()).map_err(runtime)?;
     }
 
@@ -1713,23 +1623,15 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
     // (and the CI smoke test) can read the final state of a short
     // replay; a signal ends the wait early.
     if let Some(server) = server {
-        if serve_grace > 0.0 && outcome == Outcome::Done {
-            let deadline = std::time::Instant::now() + Duration::from_secs_f64(serve_grace);
+        if obs.serve_grace > 0.0 && outcome == Outcome::Done {
+            let deadline = std::time::Instant::now() + Duration::from_secs_f64(obs.serve_grace);
             while std::time::Instant::now() < deadline {
                 if signals::interrupted() {
                     outcome = Outcome::Interrupted;
                     break;
                 }
                 if signals::dump_requested() {
-                    match flight.dump_now(DumpTrigger::Signal) {
-                        Ok(Some(path)) => {
-                            println!("SIGUSR1: wrote flight dump to {}", path.display())
-                        }
-                        Ok(None) => {
-                            eprintln!("SIGUSR1 received, but no --flight-dump path configured")
-                        }
-                        Err(e) => eprintln!("SIGUSR1: flight dump failed: {e}"),
-                    }
+                    dump_on_signal(flight);
                 }
                 std::thread::sleep(Duration::from_millis(50));
             }
@@ -1737,7 +1639,7 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
         server.shutdown();
     }
     if flight.dumps_written() > 0 {
-        if let Some(path) = &flight_dump {
+        if let Some(path) = &obs.flight_dump {
             println!(
                 "flight recorder wrote {} dump(s) to {path}",
                 flight.dumps_written()
@@ -1907,7 +1809,8 @@ fn parse_overrides(body: &str) -> Result<RuntimeOverrides, String> {
 /// `upbound serve` — the long-lived dataplane: one [`PacketSource`]
 /// (pcap replay, optionally looped, or AF_PACKET live capture) feeding
 /// [`PipelineRunner::serve`], with the control plane (`POST /config`,
-/// `POST /drain`) riding on the metrics listener.
+/// `POST /drain`) riding on the metrics listener. It decides through
+/// the same dataplane core as `filter`, connection blocking included.
 fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
     let in_path = match args.get("in") {
         None if args.has("in") => return Err(usage("--in requires a file path")),
@@ -1936,110 +1839,39 @@ fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
             "--on-corrupt applies to pcap replay; it requires --in <FILE>",
         ));
     }
-    let fault_plan = match args.get("fault-plan") {
-        None if args.has("fault-plan") => {
-            return Err(usage(
-                "--fault-plan expects `none` or key=value fields (seed, corrupt, \
-                 reorder, skew, skew-secs)",
-            ));
-        }
-        None => None,
-        Some(spec) => {
-            if live_iface.is_some() {
-                return Err(usage(
-                    "--fault-plan is replay-only: faults are injected by distorting the \
-                     buffered stream, which is impossible on a live interface — drop \
-                     --live or drop --fault-plan",
-                ));
-            }
-            let plan = FaultPlan::parse(spec).map_err(|e| usage(format!("--fault-plan: {e}")))?;
-            if plan.panics() > 0 {
-                return Err(usage(
-                    "--fault-plan panics=N needs the supervised pipeline (chaos harness); \
-                     serve has no shard supervisor to catch them",
-                ));
-            }
-            if plan.ckpt_errors() > 0 {
-                return Err(usage(
-                    "--fault-plan ckpt=N needs a faulting checkpoint sink; serve writes \
-                     checkpoints directly",
-                ));
-            }
-            (!plan.is_none()).then_some(plan)
-        }
-    };
+    if args.has("fault-plan") && live_iface.is_some() {
+        return Err(usage(
+            "--fault-plan is replay-only: faults are injected by distorting the \
+             buffered stream, which is impossible on a live interface — drop \
+             --live or drop --fault-plan",
+        ));
+    }
     let listen = match args.get("listen") {
         None if args.has("listen") => return Err(usage("--listen expects <HOST:PORT>")),
         other => other.map(str::to_owned),
     };
     let inside = inside_of(args).map_err(usage)?;
-    let low: f64 = args.parse_num("low-mbps", 0.0).map_err(usage)?;
-    let high: f64 = args.parse_num("high-mbps", 0.0).map_err(usage)?;
-    let fail_mode = match args.get("fail-mode") {
-        None if args.has("fail-mode") => {
-            return Err(usage("--fail-mode expects `open` or `closed`"));
-        }
-        None => FailMode::Closed,
-        Some(v) => FailMode::parse(v)
-            .ok_or_else(|| usage(format!("--fail-mode expects `open` or `closed`, got {v:?}")))?,
-    };
-    let mut builder = BitmapFilterConfig::builder();
-    builder
-        .vector_bits(args.parse_num("vector-bits", 20u32).map_err(usage)?)
-        .vectors(args.parse_num("vectors", 4usize).map_err(usage)?)
-        .rotate_every_secs(args.parse_num("rotate-secs", 5.0f64).map_err(usage)?)
-        .hash_functions(args.parse_num("hashes", 3usize).map_err(usage)?)
-        .hole_punching(args.has("hole-punching"))
-        .fail_mode(fail_mode);
-    if high > 0.0 {
-        builder
-            .drop_policy(DropPolicy::new(low * 1e6, high * 1e6).map_err(|e| usage(e.to_string()))?);
-    }
-    let config = builder.build().map_err(|e| usage(e.to_string()))?;
-    let shards: usize = args.parse_num("shards", 1usize).map_err(usage)?;
-    if shards == 0 {
-        return Err(usage("--shards expects at least 1"));
-    }
-    let batch_size: usize = args.parse_num("batch-size", 64usize).map_err(usage)?;
-    if batch_size == 0 {
-        return Err(usage("--batch-size expects at least 1"));
-    }
-    let overload = match args.get("overload-policy") {
-        None if args.has("overload-policy") => {
-            return Err(usage(
-                "--overload-policy expects off|balanced|strict[,key=value...]",
-            ));
-        }
-        None => OverloadPolicy::off(),
-        Some(spec) => {
-            OverloadPolicy::parse(spec).map_err(|e| usage(format!("--overload-policy: {e}")))?
-        }
-    };
-    let checkpoint = match args.get("checkpoint") {
-        None if args.has("checkpoint") => {
-            return Err(usage("--checkpoint requires a file path"));
-        }
-        other => other.map(str::to_owned),
-    };
-    let checkpoint_interval: f64 = args.parse_num("checkpoint-interval", 30.0).map_err(usage)?;
-    if checkpoint_interval <= 0.0 || !checkpoint_interval.is_finite() {
-        return Err(usage(format!(
-            "--checkpoint-interval expects a positive number of seconds, got {checkpoint_interval}"
-        )));
-    }
-    if args.has("checkpoint-interval") && checkpoint.is_none() {
-        return Err(usage("--checkpoint-interval requires --checkpoint <FILE>"));
+    let flags = FilterFlags::parse(args)?;
+    if flags
+        .fault_plan
+        .as_ref()
+        .is_some_and(|p| p.ckpt_errors() > 0)
+    {
+        return Err(usage(
+            "--fault-plan ckpt=N needs a faulting checkpoint sink; serve writes \
+             checkpoints directly",
+        ));
     }
 
-    let mut runner = PipelineRunner::new(inside, config)
-        .shards(shards)
-        .overload_policy(overload)
+    let mut runner = PipelineRunner::new(inside, flags.config()?)
+        .shards(flags.shards)
+        .overload_policy(flags.overload.clone())
         .pipeline_config(PipelineConfig {
-            batch_size,
+            batch_size: flags.batch_size,
             ..PipelineConfig::default()
         });
-    if let Some(path) = &checkpoint {
-        runner = runner.checkpoint(path, TimeDelta::from_secs(checkpoint_interval));
+    if let Some(path) = &flags.checkpoint {
+        runner = runner.checkpoint(path, TimeDelta::from_secs(flags.checkpoint_interval));
     }
 
     let registry = Registry::new();
@@ -2048,11 +1880,7 @@ fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
         option_env!("UPBOUND_GIT_DESCRIBE"),
     );
     let health = HealthState::new();
-    health.set_fail_mode(if fail_mode == FailMode::Open {
-        "open"
-    } else {
-        "closed"
-    });
+    health.set_fail_mode(fail_mode_label(flags.fail_mode));
     let control = ServeControl::new().with_telemetry(&registry);
 
     let server = match &listen {
@@ -2131,23 +1959,13 @@ fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
         let looped = args.has("loop");
         let open = File::open(in_path).map_err(|e| runtime(format!("{in_path}: {e}")));
         let buffered = open.and_then(|file| {
-            if let Some(plan) = &fault_plan {
-                let mut reader =
-                    PcapReader::with_policy(file, policy).map_err(|e| runtime(e.to_string()))?;
-                let mut packets = Vec::new();
-                while let Some(p) = reader.read_packet().map_err(|e| runtime(e.to_string()))? {
-                    packets.push(p);
-                }
+            let mut reader =
+                PcapReader::with_policy(file, policy).map_err(|e| runtime(e.to_string()))?;
+            if let Some(plan) = &flags.fault_plan {
+                let distorted = distorted_stream(&mut reader, plan)?;
                 report_skips(reader.stats());
-                let (distorted, distortion) = plan.distort_stream(packets);
-                println!(
-                    "fault plan armed: {} corrupted, {} reorder burst(s), {} skewed",
-                    distortion.corrupted, distortion.reorder_bursts, distortion.skewed
-                );
                 Ok(BufferedSource::labeled(distorted, inside))
             } else {
-                let reader =
-                    PcapReader::with_policy(file, policy).map_err(|e| runtime(e.to_string()))?;
                 let mut pcap = upbound::net::PcapSource::new(reader, inside);
                 BufferedSource::drain(&mut pcap).map_err(|e| runtime(e.to_string()))
             }
@@ -2170,6 +1988,7 @@ fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
 
     health.set_watermark(report.watermark.as_micros());
     report_skips(&report.ingest);
+    print_summary(&report.dataplane, report.watermark);
     println!(
         "serve finished ({}): {} packet(s), {} passed, {} dropped, {} reconfig(s) applied, \
          {} checkpoint(s) written",
@@ -2177,9 +1996,9 @@ fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
             ServeExit::SourceEnded => "source ended",
             ServeExit::Drained => "drained",
         },
-        report.packets,
-        report.passed,
-        report.dropped,
+        report.dataplane.packets,
+        report.dataplane.passed(),
+        report.dataplane.dropped,
         report.reconfigs_applied,
         report.checkpoints_written,
     );

@@ -212,11 +212,10 @@ fn fixed_seed_fault_matrix_holds_invariants() {
 /// Checkpoint I/O faults surface as [`SnapshotError`] from the replay
 /// engine, and the same engine with a disarmed sink checkpoints fine.
 ///
-/// Deliberately stays on the deprecated `run_checkpointed_with`: the
-/// sink-injection seam is exactly what this test exercises, and
-/// [`PipelineRunner::checkpoint`] hard-wires the atomic sink.
+/// Drives `run_checkpointed_with` directly: its sink argument is the
+/// injection seam this test exercises, while
+/// [`PipelineRunner::checkpoint`] always uses the atomic sink.
 #[test]
-#[allow(deprecated)]
 fn checkpoint_faults_surface_and_disarmed_sink_recovers() {
     let trace = chaos_trace();
     let engine = ReplayEngine::new(ReplayConfig::default());

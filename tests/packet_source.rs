@@ -1,10 +1,8 @@
-//! Differential contract for the `PacketSource` refactor: the replay
-//! engine driven through the unified source API must be byte-identical
-//! to the pre-refactor drain-then-replay path.
-//!
-//! The deprecated [`ReplayEngine::run_capture`] deliberately keeps its
-//! original loop (it is *not* a shim over `run_source`), so these tests
-//! compare two genuinely distinct code paths over:
+//! Differential contract for the `PacketSource` backends: the replay
+//! engine driven by a streaming [`PcapSource`] must be byte-identical to
+//! draining the reader first and replaying the packets from memory (a
+//! [`BufferedSource`]), so these tests compare two distinct acquisition
+//! paths over:
 //!
 //! * clean captures under the strict reader;
 //! * a property-tested corpus of adversarially mutated captures
@@ -23,7 +21,8 @@ use proptest::prelude::*;
 use upbound::core::{BitmapFilter, BitmapFilterConfig, DropPolicy};
 use upbound::net::pcap::{self, PcapReader, RecoveryPolicy};
 use upbound::net::{
-    Cidr, LiveCaptureError, LiveConfig, LiveSource, Packet, PacketSource, PcapSource, SourcePoll,
+    BufferedSource, Cidr, LiveCaptureError, LiveConfig, LiveSource, Packet, PacketSource,
+    PcapSource, SourcePoll,
 };
 use upbound::sim::{ReplayConfig, ReplayEngine};
 use upbound::traffic::{generate, TraceConfig};
@@ -56,8 +55,8 @@ fn capture_bytes(seed: u64) -> Vec<u8> {
     pcap::to_bytes(packets, 96).expect("serialize capture")
 }
 
-/// Replays `bytes` through the pre-refactor drain-then-replay path.
-#[allow(deprecated)]
+/// Drains `bytes` through the reader inside the test, then replays the
+/// packets from memory.
 fn replay_old(
     bytes: &[u8],
     policy: RecoveryPolicy,
@@ -71,9 +70,15 @@ fn replay_old(
 > {
     let mut reader =
         PcapReader::with_policy(Cursor::new(bytes), policy).map_err(|e| e.to_string())?;
+    let mut packets = Vec::new();
+    while let Some(packet) = reader.read_packet().map_err(|e| e.to_string())? {
+        let direction = inside().direction_of(&packet.tuple());
+        packets.push((packet, direction));
+    }
+    let mut source = BufferedSource::new(packets, *reader.stats());
     let mut filter = BitmapFilter::new(filter_config());
     let (result, ingest) = ReplayEngine::new(ReplayConfig::default())
-        .run_capture(&mut reader, inside(), &mut filter)
+        .run_source(&mut source, &mut filter)
         .map_err(|e| e.to_string())?;
     Ok((result, ingest, filter.stats()))
 }

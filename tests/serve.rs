@@ -13,8 +13,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use upbound::core::{BitmapFilterConfig, DropPolicy, RuntimeOverrides};
-use upbound::net::{BufferedSource, Cidr, Packet};
-use upbound::sim::{PipelineRunner, ServeControl, ServeExit};
+use upbound::net::pcap::IngestStats;
+use upbound::net::{
+    BufferedSource, Cidr, Direction, FiveTuple, NetError, Packet, PacketSource, Protocol,
+    SourcePoll, Timestamp,
+};
+use upbound::sim::{Blocking, PipelineConfig, PipelineRunner, ServeControl, ServeExit};
+use upbound::telemetry::Registry;
 use upbound::traffic::{generate, TraceConfig};
 
 fn inside() -> Cidr {
@@ -44,6 +49,102 @@ fn trace_packets(seed: u64) -> Vec<Packet> {
     .into_iter()
     .map(|lp| lp.packet)
     .collect()
+}
+
+/// Unsolicited inbound packets, each on a connection of its own,
+/// `per_sec` a second until `total` have been sent. Each poll
+/// records the serve loop's blocked-connection gauge, so the test
+/// sees its peak.
+struct ScanSource {
+    sent: u32,
+    total: u32,
+    per_sec: u32,
+    registry: Registry,
+    peak_blocked: f64,
+}
+
+impl PacketSource for ScanSource {
+    fn next_batch(
+        &mut self,
+        out: &mut Vec<(Packet, Direction)>,
+        max: usize,
+    ) -> Result<SourcePoll, NetError> {
+        let blocked = self
+            .registry
+            .snapshot()
+            .gauge("upbound_serve_blocked_connections")
+            .unwrap_or(0.0);
+        self.peak_blocked = self.peak_blocked.max(blocked);
+        if self.sent == self.total {
+            return Ok(SourcePoll::End);
+        }
+        let n = (self.total - self.sent).min(max as u32);
+        for i in self.sent..self.sent + n {
+            let tuple = FiveTuple::new(
+                Protocol::Udp,
+                std::net::SocketAddrV4::new((0x6440_0000 + i).into(), 6881),
+                std::net::SocketAddrV4::new([10, 0, 0, 1].into(), 51413),
+            );
+            let ts = Timestamp::from_micros(u64::from(i) * 1_000_000 / u64::from(self.per_sec));
+            out.push((Packet::udp(ts, tuple, Vec::new()), Direction::Inbound));
+        }
+        self.sent += n;
+        Ok(SourcePoll::Batch(n as usize))
+    }
+
+    fn stats(&self) -> IngestStats {
+        IngestStats::default()
+    }
+
+    fn name(&self) -> &str {
+        "scan"
+    }
+}
+
+/// `serve` may run indefinitely on traffic whoever sends it chooses, so
+/// a run of fresh tuples, each blocked, must not grow its
+/// blocked-connection store without bound: idle connections are
+/// released after `T_e`, and the store never exceeds its capacity.
+#[test]
+fn serve_bounds_its_blocked_connection_store() {
+    let runner = PipelineRunner::new(inside(), BitmapFilterConfig::paper_evaluation())
+        .pipeline_config(PipelineConfig {
+            batch_size: 4096,
+            ..PipelineConfig::default()
+        });
+    let t_e = BitmapFilterConfig::paper_evaluation()
+        .expiry_timer()
+        .as_secs_f64();
+    // (new connections per second, seconds): first slow enough that
+    // idle release alone bounds the store, then fast enough that
+    // only the capacity does.
+    for (per_sec, secs) in [(1_000, 60), (20_000, 20)] {
+        let registry = Registry::new();
+        let control = ServeControl::new().with_telemetry(&registry);
+        let mut source = ScanSource {
+            sent: 0,
+            total: per_sec * secs,
+            per_sec,
+            registry: registry.clone(),
+            peak_blocked: 0.0,
+        };
+        let report = runner.serve(&mut source, &control).expect("serve");
+        // Every packet is dropped and blocks its own connection.
+        assert_eq!(report.dataplane.dropped, u64::from(per_sec * secs));
+        assert_eq!(
+            report.dataplane.blocked_connections,
+            u64::from(per_sec * secs)
+        );
+        // At most two idle windows' worth are resident: one window,
+        // plus those that expired since the last sweep.
+        let bound = (2.0 * t_e * f64::from(per_sec)).min(Blocking::EXPIRING_CAPACITY as f64);
+        assert!(
+            source.peak_blocked > 0.0 && source.peak_blocked <= bound,
+            "{per_sec}/s: peak {} over bound {bound}",
+            source.peak_blocked
+        );
+        assert!(report.dataplane.blocked_resident as f64 <= bound);
+    }
 }
 
 /// In-process: a served looped source applies staged overrides at a
@@ -80,7 +181,7 @@ fn serve_applies_reconfig_and_drains_in_process() {
         .expect("serve succeeds");
     assert!(matches!(report.exit, ServeExit::Drained));
     assert_eq!(report.reconfigs_applied, 1, "staged overrides must land");
-    assert!(report.packets > 0);
+    assert!(report.dataplane.packets > 0);
 }
 
 /// Raw single-connection HTTP/1.1 client (the control plane speaks
@@ -387,4 +488,68 @@ fn cli_serve_usage_and_runtime_errors_split_exit_codes() {
     let missing = tmp("does-not-exist.pcap");
     let (code, _) = stderr_of(&["serve", "--in", missing.to_str().expect("utf8 path")]);
     assert_eq!(code, Some(1));
+}
+
+/// `serve --in X` decides exactly what `filter --in X` decides: both
+/// drive the same dataplane core, connection blocking included, so the
+/// packet/drop/block line and the uplink line are identical for every
+/// flag set the two subcommands share. (`serve` also releases a blocked
+/// connection after `T_e` without packets; these captures have none
+/// that comes back after such a gap.)
+#[test]
+fn cli_serve_summary_matches_filter() {
+    const FLAG_SETS: [&[&str]; 5] = [
+        &[],
+        &["--shards", "4"],
+        &["--batch-size", "1"],
+        &["--low-mbps", "0.2", "--high-mbps", "1", "--hole-punching"],
+        &["--fault-plan", "seed=5,corrupt=20"],
+    ];
+    let summary = |args: &[&str]| {
+        let out = bin().args(args).output().expect("run upbound");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            out.status.success(),
+            "upbound {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let lines: Vec<String> = stdout
+            .lines()
+            .filter(|l| l.contains(" packets; dropped ") || l.starts_with("uplink: "))
+            .map(str::to_owned)
+            .collect();
+        assert_eq!(lines.len(), 2, "upbound {args:?}: no summary in {stdout}");
+        lines
+    };
+    for seed in ["3", "11"] {
+        let trace = tmp(&format!("matches-filter-{seed}.pcap"));
+        let trace_s = trace.to_str().expect("utf8 path");
+        let out = bin()
+            .args([
+                "generate",
+                "--out",
+                trace_s,
+                "--duration",
+                "30",
+                "--rate",
+                "20",
+                "--seed",
+                seed,
+            ])
+            .output()
+            .expect("generate trace");
+        assert!(out.status.success());
+        for flags in FLAG_SETS {
+            let mut filter = vec!["filter", "--in", trace_s];
+            filter.extend_from_slice(flags);
+            let mut serve = vec!["serve", "--in", trace_s];
+            serve.extend_from_slice(flags);
+            assert_eq!(
+                summary(&serve),
+                summary(&filter),
+                "seed {seed}, flags {flags:?}"
+            );
+        }
+        std::fs::remove_file(&trace).ok();
+    }
 }
