@@ -118,14 +118,17 @@ impl AtomicBitmap {
     }
 
     /// Marks `key` in **all** `k` vectors (Algorithm 2, outbound path) —
-    /// one `fetch_or` per touched word, no lock.
+    /// at most one `fetch_or` per touched word, none for a bit already
+    /// set, no lock.
     ///
     /// The loop is vector-outer: all `m` bits of one vector are set
     /// before moving to the next, so each vector's cache lines are
     /// touched consecutively instead of striding across all `k` vectors
-    /// per bit. If a rotation completes concurrently, the mark re-runs
-    /// (`fetch_or` is idempotent), so a mark that returns after
-    /// `rotate()` returned is fully present in the post-rotation bitmap.
+    /// per bit. A bit found already set was set after any clear that
+    /// completed before the `Acquire` epoch read. If a rotation
+    /// completes concurrently, the mark re-runs (setting is idempotent),
+    /// so a mark that returns after `rotate()` returned is fully present
+    /// in the post-rotation bitmap.
     pub fn mark(&self, key: &[u8]) {
         // Hash once; the index iterator is cheap to clone per vector.
         let indexes = self.hashes.indexes(key);

@@ -74,6 +74,12 @@ impl AtomicBitVec {
     /// bit was newly set by this call. Safe to race with other setters,
     /// readers, and [`clear`](Self::clear).
     ///
+    /// A bit already set is left alone after one relaxed load (no
+    /// locked read-modify-write). A caller that must not see a bit
+    /// cleared before it started, like the seqlock in
+    /// [`AtomicBitmap::mark`](crate::AtomicBitmap::mark), orders this
+    /// load after the clear with an `Acquire` read first.
+    ///
     /// # Panics
     ///
     /// Panics if `i >= len()`.
@@ -81,7 +87,11 @@ impl AtomicBitVec {
     pub fn set(&self, i: usize) -> bool {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
         let mask = 1u64 << (i % 64);
-        let prev = self.words[i / 64].fetch_or(mask, Ordering::Relaxed);
+        let word = &self.words[i / 64];
+        if word.load(Ordering::Relaxed) & mask != 0 {
+            return false;
+        }
+        let prev = word.fetch_or(mask, Ordering::Relaxed);
         if prev & mask == 0 {
             self.ones.fetch_add(1, Ordering::Relaxed);
             true

@@ -508,14 +508,17 @@ impl<O: FilterObserver> BitmapFilter<O> {
     /// Returns the arming time when *this call* won the fail-open
     /// anchor (the `&mut` wrapper fires the observer then).
     fn anchor_warmup_shared(&self, now: Timestamp) -> Option<Timestamp> {
-        // Telemetry-only warm-window anchor, kept for both fail modes.
-        let until = (now + self.config.expiry_timer()).as_micros();
-        let _ = self.warmup.warm_until.compare_exchange(
-            UNSET,
-            until,
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        );
+        // Telemetry-only warm-window anchor, kept for both fail modes;
+        // once anchored, a load settles it without a locked exchange.
+        if self.warmup.warm_until.load(Ordering::Acquire) == UNSET {
+            let until = (now + self.config.expiry_timer()).as_micros();
+            let _ = self.warmup.warm_until.compare_exchange(
+                UNSET,
+                until,
+                Ordering::AcqRel,
+                Ordering::Relaxed,
+            );
+        }
         if self.config.fail_mode() == FailMode::Open
             && self.warmup.arm_at.load(Ordering::Acquire) == UNSET
         {

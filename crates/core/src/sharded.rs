@@ -128,9 +128,10 @@ struct Inner<F> {
     drop_policy: RwLock<Option<DropPolicy>>,
     name: String,
     /// Running-max timestamp (in microseconds) over every packet this
-    /// handle has batched, persisted across [`ShardedFilter::process_batch`]
-    /// calls so a shard that received no packets in a high-timestamp
-    /// batch still advances to the sequential clock on its next packet.
+    /// handle has decided, persisted across [`PacketFilter::decide`] and
+    /// [`ShardedFilter::process_batch`] calls so a shard that received
+    /// no packets in a high-timestamp batch still advances to the
+    /// sequential clock on its next packet.
     watermark: AtomicU64,
 }
 
@@ -389,6 +390,18 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
             guard.advance(watermark);
             guard.decide(packet, direction)
         }
+    }
+
+    /// One packet of [`process_batch`](Self::process_batch): decided at
+    /// the handle's running-maximum timestamp, which it advances, so
+    /// per-packet and batched decisions agree on any trace.
+    fn decide_at_watermark(&self, packet: &Packet, direction: Direction) -> Verdict {
+        let ts = packet.ts().as_micros();
+        let mut wm = self.inner.watermark.load(Ordering::Relaxed);
+        if ts > wm {
+            wm = ts.max(self.inner.watermark.fetch_max(ts, Ordering::Relaxed));
+        }
+        self.process_packet_at(packet, direction, Timestamp::from_micros(wm))
     }
 
     /// Runs the full per-packet pipeline on a batch of packets,
@@ -675,11 +688,11 @@ impl<F: PacketFilter + Send + Sync> PacketFilter for ShardedFilter<F> {
     const CONCURRENT: bool = F::CONCURRENT;
 
     fn decide(&mut self, packet: &Packet, direction: Direction) -> Verdict {
-        ShardedFilter::process_packet(self, packet, direction)
+        self.decide_at_watermark(packet, direction)
     }
 
     fn decide_shared(&self, packet: &Packet, direction: Direction) -> Verdict {
-        ShardedFilter::process_packet(self, packet, direction)
+        self.decide_at_watermark(packet, direction)
     }
 
     fn decide_batch(&mut self, packets: &[(Packet, Direction)], verdicts: &mut Vec<Verdict>) {
@@ -936,9 +949,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn process_batch_matches_sequential_on_nonmonotonic_trace() {
-        let config = BitmapFilterConfig::paper_evaluation();
+    /// Paired outbound/inbound packets whose clocks jump back and forth,
+    /// with one far-future packet in the middle.
+    fn nonmonotonic_trace() -> Vec<(Packet, Direction)> {
         let mut packets = Vec::new();
         for i in 0..120u16 {
             let t = ((i as u64 * 37) % 29) as f64 + (i as f64) * 0.001;
@@ -953,6 +966,13 @@ mod tests {
                 packets.push((outbound_packet(9999, 5_000.0), Direction::Outbound));
             }
         }
+        packets
+    }
+
+    #[test]
+    fn process_batch_matches_sequential_on_nonmonotonic_trace() {
+        let config = BitmapFilterConfig::paper_evaluation();
+        let packets = nonmonotonic_trace();
         let mut seq = BitmapFilter::new(config.clone());
         let mut seq_verdicts = Vec::new();
         seq.decide_batch(&packets, &mut seq_verdicts);
@@ -968,6 +988,24 @@ mod tests {
                     "batch size {batch} with {shards} shards diverged"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn decide_matches_sequential_on_nonmonotonic_trace() {
+        let config = BitmapFilterConfig::paper_evaluation();
+        let packets = nonmonotonic_trace();
+        let mut seq = BitmapFilter::new(config.clone());
+        let mut seq_verdicts = Vec::new();
+        seq.decide_batch(&packets, &mut seq_verdicts);
+        for shards in [1usize, 4] {
+            let mut sharded = sharded(config.clone(), shards);
+            let verdicts: Vec<Verdict> = packets
+                .iter()
+                .map(|(packet, direction)| sharded.decide(packet, *direction))
+                .collect();
+            assert_eq!(verdicts, seq_verdicts, "{shards} shards diverged");
+            assert_eq!(sharded.stats(), seq.stats(), "{shards} shards");
         }
     }
 

@@ -117,7 +117,9 @@ impl ThroughputMonitor {
             self.slots[idx].store(0, Ordering::Release);
         }
         self.slots[idx].fetch_add(bytes, Ordering::AcqRel);
-        self.first_slot.fetch_min(slot, Ordering::AcqRel);
+        if slot < self.first_slot.load(Ordering::Acquire) {
+            self.first_slot.fetch_min(slot, Ordering::AcqRel);
+        }
         self.total_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 

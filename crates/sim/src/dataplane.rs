@@ -1,18 +1,11 @@
 //! The dataplane core ([`Dataplane`]): the one place a packet stream is
-//! staged into batches, decided by a [`PacketFilter`], and run through
-//! the paper's blocked-connection stage.
+//! run through the paper's blocked-connection stage and decided by a
+//! [`PacketFilter`], one packet at a time.
 
 use std::collections::{HashMap, HashSet};
-use std::ops::Range;
 use upbound_core::{PacketFilter, Verdict};
 use upbound_net::{Direction, FiveTuple, Packet, TimeDelta, Timestamp};
 use upbound_telemetry::{Stage, StageTracer};
-
-/// How many packets, per slot of the batch, may wait behind a partly
-/// staged batch before it is decided early. Packets of blocked
-/// connections wait in line with the staged ones so they settle in
-/// input order; this bounds that line under a long run of them.
-const QUEUE_PER_BATCH_SLOT: usize = 16;
 
 /// How long the blocked-connection stage keeps a connection blocked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +42,7 @@ pub enum Fate {
     Blocked,
 }
 
-/// One packet handed back by the [`Dataplane`], in input order.
+/// One packet handed back by the [`Dataplane`] as it is offered.
 #[derive(Debug)]
 pub struct Settled<'a> {
     /// The packet as it was offered.
@@ -58,25 +51,21 @@ pub struct Settled<'a> {
     pub direction: Direction,
     /// What the dataplane did with it.
     pub fate: Fate,
-    /// The captured frame offered with it, if any; always `None` for a
-    /// blocked packet.
+    /// The captured frame offered with it, if any, as the same slice;
+    /// always `None` for a blocked packet.
     pub frame: Option<&'a [u8]>,
 }
 
-/// A batch the filter decided while a packet was offered or the core
-/// was flushed.
+/// A batch of `batch_size` packets the filter decided, counted since the
+/// previous one; packets of blocked connections do not count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decided {
     /// Timestamp of the batch's last packet.
     pub last_ts: Timestamp,
-    /// Whether the batch was decided because it reached the batch size
-    /// (rather than for a hazard, a long queue, or an explicit flush).
-    pub full: bool,
 }
 
-/// Running totals of a [`Dataplane`]. `packets` and
-/// `uplink_offered_bits` count packets as they are offered, the rest as
-/// they are settled, so the totals agree once the core is flushed.
+/// Running totals of a [`Dataplane`]; every offered packet is settled
+/// before [`offer`](Dataplane::offer) returns, so they always agree.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DataplaneStats {
     /// Packets offered.
@@ -96,7 +85,7 @@ pub struct DataplaneStats {
 }
 
 impl DataplaneStats {
-    /// Packets passed, once every offered packet has been settled.
+    /// Packets passed.
     pub fn passed(&self) -> u64 {
         self.packets - self.dropped
     }
@@ -132,22 +121,23 @@ impl BlockedStore {
         }
     }
 
-    /// Whether `conn` is blocked for a packet offered at `ts`.
+    /// Whether the connection of `packet` is blocked.
     #[inline(always)]
-    fn is_blocked(&mut self, conn: &FiveTuple, ts: Timestamp) -> bool {
+    fn is_blocked(&mut self, packet: &Packet) -> bool {
         match self {
             Self::Off => false,
-            Self::Permanent(set) => set.contains(conn),
-            Self::Expiring(store) => store.is_blocked(conn, ts),
+            Self::Permanent(set) => set.contains(&packet.tuple().canonical()),
+            Self::Expiring(store) => store.is_blocked(&packet.tuple().canonical(), packet.ts()),
         }
     }
 
-    /// Blocks `conn` after a drop at `ts`; whether it was not blocked.
-    fn block(&mut self, conn: FiveTuple, ts: Timestamp) -> bool {
+    /// Blocks the connection of `packet` after a drop; whether it was
+    /// not blocked.
+    fn block(&mut self, packet: &Packet) -> bool {
         match self {
             Self::Off => false,
-            Self::Permanent(set) => set.insert(conn),
-            Self::Expiring(store) => store.block(conn, ts),
+            Self::Permanent(set) => set.insert(packet.tuple().canonical()),
+            Self::Expiring(store) => store.block(packet.tuple().canonical(), packet.ts()),
         }
     }
 
@@ -212,17 +202,9 @@ impl ExpiringStore {
     }
 }
 
-/// A packet waiting to be settled.
-enum Slot {
-    /// The next packet of the staged batch, with its span in the frame
-    /// arena.
-    Staged(Option<Range<usize>>),
-    /// A packet of a blocked connection, queued behind the staged batch.
-    Blocked(Packet, Direction),
-}
-
-/// The dataplane core: the staged batch and its frame arena, the
-/// blocked-connection store, and the batched filter call.
+/// The dataplane core: the blocked-connection store in front of a
+/// [`PacketFilter`], deciding and settling one packet per
+/// [`offer`](Self::offer).
 ///
 /// `upbound filter` (one `--inside` network or a `--subscribers`
 /// table), [`PipelineRunner::serve`](crate::PipelineRunner::serve) and
@@ -235,59 +217,34 @@ enum Slot {
 /// without consulting the filter, for as long as the [`Blocking`]
 /// policy keeps it stored.
 ///
-/// **Batching:** packets reach the filter through
-/// [`PacketFilter::decide_batch`]. One hazard rule keeps that exact: a
-/// packet whose connection has an *inbound* packet staged is only
-/// admitted after the batch is decided, because that packet's verdict
-/// may block it. Outbound packets always pass, so they never block
-/// anything. A batched run therefore decides exactly what a
-/// packet-at-a-time run decides, at every batch size (for
-/// [`Blocking::Expiring`], while the store stays below its capacity).
-///
-/// Every offered packet is handed back exactly once, in input order,
-/// with its [`Fate`].
+/// **Batch size:** nothing is ever staged, so no setting can change a
+/// verdict. The batch size only sets how often the caller sweeps
+/// timers: [`offer`](Self::offer) reports a [`Decided`] after every
+/// `batch_size` packets the filter decided. With a tracer, one packet
+/// per batch is timed.
 pub struct Dataplane {
     batch_size: usize,
     tracer: Option<StageTracer>,
-    /// The packets that reach the filter, in input order.
-    staged: Vec<(Packet, Direction)>,
-    /// Every packet not yet settled, in input order. Empty, or led by a
-    /// staged packet: a blocked packet with nothing ahead of it settles
-    /// at once.
-    queue: Vec<Slot>,
-    /// Captured frames of the staged packets, reused from batch to batch.
-    frames: Vec<u8>,
-    /// Canonical tuples of the staged inbound packets.
-    hazards: HashSet<FiveTuple>,
-    verdicts: Vec<Verdict>,
+    /// Packets the filter decided since the last [`Decided`].
+    decided: usize,
     blocked: BlockedStore,
     stats: DataplaneStats,
 }
 
 impl Dataplane {
-    /// A core deciding up to `batch_size` packets per filter call (`0`
-    /// is treated as `1`), with the blocked-connection stage `blocking`.
-    /// With a `tracer`, filter calls are timed as [`Stage::Decide`] and
-    /// settling as [`Stage::Emit`].
+    /// A core reporting a [`Decided`] every `batch_size` decided packets
+    /// (`0` is treated as `1`), with the blocked-connection stage
+    /// `blocking`. With a `tracer`, the filter decision and the settling
+    /// of the first decided packet of each batch are timed as
+    /// [`Stage::Decide`] and [`Stage::Emit`].
     pub fn new(blocking: Blocking, batch_size: usize, tracer: Option<StageTracer>) -> Self {
-        let batch_size = batch_size.max(1);
         Self {
-            batch_size,
+            batch_size: batch_size.max(1),
             tracer,
-            staged: Vec::with_capacity(batch_size),
-            queue: Vec::with_capacity(batch_size),
-            frames: Vec::new(),
-            hazards: HashSet::new(),
-            verdicts: Vec::with_capacity(batch_size),
+            decided: 0,
             blocked: BlockedStore::new(blocking),
             stats: DataplaneStats::default(),
         }
-    }
-
-    /// Changes the batch size (`0` is treated as `1`) from the next
-    /// packet staged on.
-    pub fn set_batch_size(&mut self, batch_size: usize) {
-        self.batch_size = batch_size.max(1);
     }
 
     /// The running totals; see [`DataplaneStats`].
@@ -298,142 +255,76 @@ impl Dataplane {
         }
     }
 
-    /// Offers the next packet in input order, with its captured `frame`
-    /// if the caller wants it back.
+    /// Decides the next packet in input order and hands it to `settle`
+    /// before returning, with the captured `frame` it was offered with
+    /// (`None` if it was blocked). A packet of a blocked connection never
+    /// reaches the filter; an inbound packet the filter drops blocks its
+    /// connection.
     ///
-    /// Every packet this settles, the offered one included when its
-    /// connection is blocked and nothing is staged, goes to `settle` in
-    /// input order. Returns the batch the filter decided on the way, if
-    /// any: at most one per call.
+    /// Returns a [`Decided`] when this packet completes a batch of
+    /// `batch_size` packets the filter decided.
     ///
     /// # Errors
     ///
-    /// The first error `settle` returns; the packets after it in the
-    /// batch are discarded.
-    // The per-packet path is inlined into the caller's read loop and the
-    // batch decision is kept out of line: on the flood workload (mostly
-    // two- or three-packet batches cut by hazards) that measured about
-    // 20 ns/packet faster than leaving both to the compiler (2-vCPU VM).
+    /// The error `settle` returns.
     #[inline(always)]
-    pub fn offer<F, E>(
+    pub fn offer<'a, F, E>(
         &mut self,
         filter: &mut F,
-        packet: Packet,
+        packet: &'a Packet,
         direction: Direction,
-        frame: Option<&[u8]>,
-        settle: &mut impl FnMut(Settled<'_>) -> Result<(), E>,
+        frame: Option<&'a [u8]>,
+        settle: impl FnOnce(Settled<'a>) -> Result<(), E>,
     ) -> Result<Option<Decided>, E>
     where
         F: PacketFilter + ?Sized,
     {
-        let mut decided = None;
         self.stats.packets += 1;
         if direction == Direction::Outbound {
             self.stats.uplink_offered_bits += packet.wire_bits();
         }
-        if !matches!(self.blocked, BlockedStore::Off) {
-            let conn = packet.tuple().canonical();
-            if self.hazards.contains(&conn) {
-                decided = self.flush(filter, settle)?;
-            }
-            if self.blocked.is_blocked(&conn, packet.ts()) {
-                if self.queue.is_empty() {
-                    self.stats.count_settled(&packet, direction, Fate::Blocked);
-                    settle(Settled {
-                        packet: &packet,
-                        direction,
-                        fate: Fate::Blocked,
-                        frame: None,
-                    })?;
-                } else {
-                    self.queue.push(Slot::Blocked(packet, direction));
-                    if self.queue.len() >= self.batch_size * QUEUE_PER_BATCH_SLOT {
-                        decided = self.flush(filter, settle)?;
-                    }
-                }
-                return Ok(decided);
-            }
-            if direction == Direction::Inbound {
-                self.hazards.insert(conn);
-            }
-        }
-        let frame = frame.map(|frame| {
-            let start = self.frames.len();
-            self.frames.extend_from_slice(frame);
-            start..self.frames.len()
-        });
-        self.queue.push(Slot::Staged(frame));
-        self.staged.push((packet, direction));
-        if self.staged.len() >= self.batch_size {
-            let full = self.flush(filter, settle)?;
-            return Ok(full.map(|d| Decided { full: true, ..d }));
-        }
-        Ok(decided)
-    }
-
-    /// Decides the staged batch and settles every waiting packet, in
-    /// input order. Returns the batch decided, or `None` when nothing
-    /// was staged.
-    ///
-    /// # Errors
-    ///
-    /// The first error `settle` returns; the packets after it in the
-    /// batch are discarded.
-    #[inline(never)]
-    pub fn flush<F, E>(
-        &mut self,
-        filter: &mut F,
-        settle: &mut impl FnMut(Settled<'_>) -> Result<(), E>,
-    ) -> Result<Option<Decided>, E>
-    where
-        F: PacketFilter + ?Sized,
-    {
-        let Some((last, _)) = self.staged.last() else {
-            return Ok(None);
-        };
-        let decided = Decided {
-            last_ts: last.ts(),
-            full: false,
-        };
-        self.verdicts.clear();
-        {
-            let _t = self.tracer.as_ref().map(|t| t.scope(Stage::Decide));
-            filter.decide_batch(&self.staged, &mut self.verdicts);
-        }
-        let _t = self.tracer.as_ref().map(|t| t.scope(Stage::Emit));
-        self.hazards.clear();
-        let mut decided_packets = self.staged.drain(..).zip(self.verdicts.drain(..));
-        for slot in self.queue.drain(..) {
-            let (packet, direction, fate, frame) = match slot {
-                Slot::Blocked(packet, direction) => (packet, direction, Fate::Blocked, None),
-                Slot::Staged(frame) => {
-                    let Some(((packet, direction), verdict)) = decided_packets.next() else {
-                        unreachable!("every staged slot has a staged packet")
-                    };
-                    let fate = match verdict {
-                        Verdict::Pass => Fate::Passed,
-                        Verdict::Drop => {
-                            if direction == Direction::Inbound
-                                && self.blocked.block(packet.tuple().canonical(), packet.ts())
-                            {
-                                self.stats.blocked_connections += 1;
-                            }
-                            Fate::Dropped
-                        }
-                    };
-                    (packet, direction, fate, frame)
-                }
-            };
-            self.stats.count_settled(&packet, direction, fate);
+        if self.blocked.is_blocked(packet) {
+            self.stats.count_settled(packet, direction, Fate::Blocked);
             settle(Settled {
-                packet: &packet,
+                packet,
+                direction,
+                fate: Fate::Blocked,
+                frame: None,
+            })?;
+            return Ok(None);
+        }
+        let tracer = self.tracer.as_ref().filter(|_| self.decided == 0);
+        let verdict = {
+            let _t = tracer.map(|t| t.scope(Stage::Decide));
+            filter.decide(packet, direction)
+        };
+        let fate = match verdict {
+            Verdict::Pass => Fate::Passed,
+            Verdict::Drop => {
+                if direction == Direction::Inbound && self.blocked.block(packet) {
+                    self.stats.blocked_connections += 1;
+                }
+                Fate::Dropped
+            }
+        };
+        self.stats.count_settled(packet, direction, fate);
+        {
+            let _t = tracer.map(|t| t.scope(Stage::Emit));
+            settle(Settled {
+                packet,
                 direction,
                 fate,
-                frame: frame.map(|span| &self.frames[span]),
+                frame,
             })?;
         }
-        self.frames.clear();
-        Ok(Some(decided))
+        self.decided += 1;
+        if self.decided < self.batch_size {
+            return Ok(None);
+        }
+        self.decided = 0;
+        Ok(Some(Decided {
+            last_ts: packet.ts(),
+        }))
     }
 }
 
@@ -475,15 +366,13 @@ mod tests {
         let mut filter = BitmapFilter::new(BitmapFilterConfig::paper_evaluation());
         let mut core = Dataplane::new(blocking, batch_size, None);
         let mut settled = Vec::new();
-        let mut settle = |s: Settled<'_>| {
-            settled.push((s.packet.ts(), s.fate));
-            Ok::<(), Infallible>(())
-        };
         for p in packets {
             let direction = inside().direction_of(&p.tuple());
-            let Ok(_) = core.offer(&mut filter, p.clone(), direction, None, &mut settle);
+            let Ok(_) = core.offer(&mut filter, p, direction, None, |s| {
+                settled.push((s.packet.ts(), s.fate));
+                Ok::<(), Infallible>(())
+            });
         }
-        let Ok(_) = core.flush(&mut filter, &mut settle);
         (settled, core.stats())
     }
 
@@ -540,72 +429,97 @@ mod tests {
         assert_eq!(stats.blocked_connections, 0);
     }
 
+    /// An unsolicited connection that is dropped and then blocked, and a
+    /// solicited one that passes.
+    fn blocked_and_solicited() -> [Packet; 5] {
+        [
+            packet(1.0, (PEER, 6881), (INSIDE, 51413)),
+            packet(1.1, (INSIDE, 40000), (PEER, 80)),
+            packet(1.2, (INSIDE, 51413), (PEER, 6881)),
+            packet(1.3, (PEER, 80), (INSIDE, 40000)),
+            packet(1.4, (PEER, 6881), (INSIDE, 51413)),
+        ]
+    }
+
     #[test]
-    fn frames_come_back_with_their_packets() {
-        let packets = [
-            packet(1.0, (INSIDE, 40000), (PEER, 80)),
-            packet(1.1, (PEER, 6881), (INSIDE, 51413)),
-            packet(1.2, (PEER, 80), (INSIDE, 40000)),
-        ];
+    fn every_offer_settles_exactly_the_offered_packet() {
+        let packets = blocked_and_solicited();
         let mut filter = BitmapFilter::new(BitmapFilterConfig::paper_evaluation());
         let mut core = Dataplane::new(Blocking::Permanent, 64, None);
-        let mut frames = Vec::new();
-        let mut settle = |s: Settled<'_>| {
-            frames.push(s.frame.map(<[u8]>::to_vec));
-            Ok::<(), Infallible>(())
-        };
         for (i, p) in packets.iter().enumerate() {
             let direction = inside().direction_of(&p.tuple());
-            let frame = [i as u8; 3];
-            let Ok(decided) =
-                core.offer(&mut filter, p.clone(), direction, Some(&frame), &mut settle);
-            assert_eq!(decided, None);
+            let mut settled = Vec::new();
+            let Ok(_) = core.offer(&mut filter, p, direction, None, |s| {
+                settled.push((s.packet as *const Packet, s.direction));
+                Ok::<(), Infallible>(())
+            });
+            assert_eq!(settled, [(p as *const Packet, direction)], "packet {i}");
+            let stats = core.stats();
+            assert_eq!(stats.packets, i as u64 + 1);
+            assert_eq!(stats.passed() + stats.dropped, stats.packets);
         }
-        let Ok(decided) = core.flush(&mut filter, &mut settle);
+    }
+
+    #[test]
+    fn frames_come_back_with_their_packets() {
+        let packets = blocked_and_solicited();
+        let frames: Vec<[u8; 3]> = (0..packets.len()).map(|i| [i as u8; 3]).collect();
+        let mut filter = BitmapFilter::new(BitmapFilterConfig::paper_evaluation());
+        let mut core = Dataplane::new(Blocking::Permanent, 64, None);
+        let mut fates = Vec::new();
+        for (p, frame) in packets.iter().zip(&frames) {
+            let direction = inside().direction_of(&p.tuple());
+            let Ok(_) = core.offer(&mut filter, p, direction, Some(frame), |s| {
+                match s.fate {
+                    Fate::Blocked => assert_eq!(s.frame, None),
+                    // Handed back as the offered slice, not a copy.
+                    _ => assert!(s.frame.is_some_and(|f| std::ptr::eq(f, frame))),
+                }
+                fates.push(s.fate);
+                Ok::<(), Infallible>(())
+            });
+        }
         assert_eq!(
-            decided,
-            Some(Decided {
-                last_ts: packets[2].ts(),
-                full: false
-            })
-        );
-        assert_eq!(
-            frames,
-            [Some(vec![0; 3]), Some(vec![1; 3]), Some(vec![2; 3])]
+            fates,
+            [
+                Fate::Dropped,
+                Fate::Passed,
+                Fate::Blocked,
+                Fate::Passed,
+                Fate::Blocked,
+            ]
         );
     }
 
     #[test]
-    fn a_long_run_of_blocked_packets_is_decided_early() {
-        let mut packets = vec![
-            packet(1.0, (PEER, 6881), (INSIDE, 51413)),
-            packet(1.1, (PEER, 6882), (INSIDE, 51414)),
-        ];
-        // Batch size 2 stages both and decides them: two blocks. Then a
-        // fresh packet is staged, and a long run of blocked packets
-        // queues behind it until the queue bound forces a decision.
-        packets.push(packet(2.0, (INSIDE, 40000), (PEER, 80)));
-        for i in 0..2 * QUEUE_PER_BATCH_SLOT {
-            packets.push(packet(3.0 + i as f64 * 1e-3, (PEER, 6881), (INSIDE, 51413)));
-        }
-        let mut filter = BitmapFilter::new(BitmapFilterConfig::paper_evaluation());
-        let mut core = Dataplane::new(Blocking::Permanent, 2, None);
-        let mut settled = 0usize;
-        let mut early = 0;
-        let mut settle = |_: Settled<'_>| {
-            settled += 1;
-            Ok::<(), Infallible>(())
-        };
-        for p in &packets {
-            let direction = inside().direction_of(&p.tuple());
-            let Ok(decided) = core.offer(&mut filter, p.clone(), direction, None, &mut settle);
-            if decided.is_some_and(|d| !d.full) {
-                early += 1;
+    fn a_batch_is_decided_every_batch_size_decided_packets() {
+        let packets = blocked_and_solicited();
+        for batch_size in [1, 2, 3] {
+            let mut filter = BitmapFilter::new(BitmapFilterConfig::paper_evaluation());
+            let mut core = Dataplane::new(Blocking::Permanent, batch_size, None);
+            let mut batches = Vec::new();
+            for p in &packets {
+                let direction = inside().direction_of(&p.tuple());
+                let Ok(decided) =
+                    core.offer(
+                        &mut filter,
+                        p,
+                        direction,
+                        None,
+                        |_| Ok::<(), Infallible>(()),
+                    );
+                batches.extend(decided);
             }
+            // Packets 0, 1 and 3 reach the filter; 2 and 4 are blocked.
+            let decided_ts = [packets[0].ts(), packets[1].ts(), packets[3].ts()];
+            let expected: Vec<Decided> = decided_ts
+                .chunks_exact(batch_size)
+                .map(|batch| Decided {
+                    last_ts: batch[batch_size - 1],
+                })
+                .collect();
+            assert_eq!(batches, expected, "batch {batch_size}");
         }
-        assert_eq!(early, 1);
-        let Ok(_) = core.flush(&mut filter, &mut settle);
-        assert_eq!(settled, packets.len());
     }
 
     const EXPIRING: Blocking = Blocking::Expiring {

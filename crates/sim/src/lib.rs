@@ -6,8 +6,8 @@
 //!   exact infinite-memory reference used for false-positive/negative
 //!   scoring). The trait lives in `upbound_core`; this crate re-exports
 //!   it so simulation code imports one crate.
-//! * [`Dataplane`] — the one dataplane core: batched decisions through
-//!   [`PacketFilter::decide_batch`] and the paper's blocked-connection
+//! * [`Dataplane`] — the one dataplane core: a per-packet
+//!   [`PacketFilter::decide`] behind the paper's blocked-connection
 //!   store ("when an inbound packet is decided to be dropped …, the
 //!   socket pair σ of that packet is stored and all the future packets
 //!   that match any stored σ or σ̄ are all dropped without checking the

@@ -26,12 +26,9 @@ pub struct ReplayConfig {
     /// Expiry window of the error-accounting oracle (should equal the
     /// filter's `T_e`).
     pub oracle_expiry: TimeDelta,
-    /// Maximum packets decided per [`PacketFilter::decide_batch`] call.
-    /// The engine flushes a partial batch whenever a packet's connection
-    /// matches an inbound packet already pending (its verdict may block
-    /// the newcomer), so results are byte-identical to the per-packet
-    /// path at every batch size. `1` restores the per-packet path; `0`
-    /// is treated as `1`.
+    /// Decided packets between two checkpoint ticks of the replay loop
+    /// (`0` is treated as `1`). Every packet is decided as it is offered,
+    /// so results are identical at every batch size.
     pub batch_size: usize,
 }
 
@@ -170,7 +167,7 @@ impl ReplayEngine {
     /// # Errors
     ///
     /// Propagates the first checkpoint write failure from the sink; the
-    /// replay stops at the failing batch.
+    /// replay stops at the tick that failed.
     pub fn run_checkpointed_with<F, S>(
         &self,
         trace: &SyntheticTrace,
@@ -198,7 +195,7 @@ impl ReplayEngine {
     /// The trace's own direction labels are ignored: each packet's
     /// accounting direction comes from the table's classifier (source
     /// inside any subscriber network → outbound, everything else →
-    /// inbound), and batches flow through the table's subscriber-grouped
+    /// inbound), and each packet goes through the table's subscriber
     /// dispatch, so one replay measures every provisioned tenant at
     /// once. Per-tenant results remain available from the table
     /// afterwards via
@@ -226,7 +223,7 @@ impl ReplayEngine {
     /// ([`PcapSource`](upbound_net::PcapSource)), looped replay
     /// ([`BufferedSource`](upbound_net::BufferedSource)) and live capture
     /// ([`LiveSource`](upbound_net::LiveSource)) all drive the same
-    /// batched loop, so verdicts and statistics depend only on the packet
+    /// loop, so verdicts and statistics depend only on the packet
     /// stream, never on the backend. [`SourcePoll::Idle`] polls sleep
     /// briefly and retry, so live sources replay in (near) real time.
     ///
@@ -246,7 +243,7 @@ impl ReplayEngine {
         self.run_source_with(source, filter, |_, _| true)
     }
 
-    /// [`run_source`](Self::run_source) with the flush hook of
+    /// [`run_source`](Self::run_source) with the tick hook of
     /// `run_iter_with`: `tick(filter, last_ts)` runs after each decided
     /// batch; returning `false` stops the replay early.
     pub(crate) fn run_source_with<F, S>(
@@ -282,15 +279,16 @@ impl ReplayEngine {
         self.run_iter_with(filter, packets, |_, _| true)
     }
 
-    /// The replay loop with a flush hook: after each decided batch is
-    /// accounted, `tick(filter, last_ts)` runs with the timestamp of the
+    /// The replay loop with a tick hook: after each batch of
+    /// `batch_size` decided packets, and once after the last decided
+    /// packet, `tick(filter, last_ts)` runs with the timestamp of the
     /// batch's last packet; returning `false` stops the replay early
     /// (used to abort on checkpoint failures).
     ///
-    /// Packets go through the shared [`Dataplane`] core (batched
-    /// decisions, the blocked-σ store and its hazard rule); this loop
-    /// adds only the oracle scoring and the binned before/after
-    /// accounting of every packet the core settles.
+    /// Packets go through the shared [`Dataplane`] core (the filter
+    /// decision and the blocked-σ store); this loop adds only the oracle
+    /// scoring and the binned before/after accounting of every packet
+    /// the core settles.
     fn run_iter_with<F, P, I>(
         &self,
         filter: &mut F,
@@ -325,29 +323,29 @@ impl ReplayEngine {
             Blocking::Off
         };
         let mut core = Dataplane::new(blocking, self.config.batch_size, None);
-        // The core settles every packet once, in input order, so the
-        // oracle sees the stream exactly as it was offered.
-        let mut settle = |s: Settled<'_>| {
-            let oracle_verdict = oracle.decide(s.packet, s.direction);
-            result.account(&s, oracle_verdict);
-            Ok::<(), Infallible>(())
-        };
+        // Timestamp of the last packet the filter decided since the last
+        // tick, for the final tick.
+        let mut untick = None;
         for (packet, direction) in packets {
-            let Ok(decided) = core.offer(
-                filter,
-                packet.borrow().clone(),
-                direction,
-                None,
-                &mut settle,
-            );
-            if decided.is_some_and(|d| !tick(filter, d.last_ts)) {
-                result.blocked_connections = core.stats().blocked_connections;
-                return result;
+            // The core settles every packet as it is offered, so the
+            // oracle sees the stream exactly as it was offered.
+            let Ok(decided) = core.offer(filter, packet.borrow(), direction, None, |s| {
+                if s.fate != Fate::Blocked {
+                    untick = Some(s.packet.ts());
+                }
+                result.account(&s, oracle.decide(s.packet, s.direction));
+                Ok::<(), Infallible>(())
+            });
+            if let Some(decided) = decided {
+                untick = None;
+                if !tick(filter, decided.last_ts) {
+                    result.blocked_connections = core.stats().blocked_connections;
+                    return result;
+                }
             }
         }
-        let Ok(decided) = core.flush(filter, &mut settle);
-        if let Some(decided) = decided {
-            tick(filter, decided.last_ts);
+        if let Some(last_ts) = untick {
+            tick(filter, last_ts);
         }
         result.blocked_connections = core.stats().blocked_connections;
         result
@@ -390,7 +388,7 @@ impl ReplayResult {
     }
 }
 
-/// Periodic checkpoints on the replay loop's flush hook: one write each
+/// Periodic checkpoints on the replay loop's tick hook: one write each
 /// time the watermark crosses the next multiple of `every`, and a final
 /// write when the replay ends. The first failed write stops the replay.
 pub(crate) struct Checkpoints<'a, S> {
@@ -416,7 +414,7 @@ impl<'a, S: CheckpointSink> Checkpoints<'a, S> {
         }
     }
 
-    /// The flush hook: writes a checkpoint when one is due; `false`
+    /// The tick hook: writes a checkpoint when one is due; `false`
     /// once a write has failed.
     pub(crate) fn tick<F: Snapshottable>(&mut self, filter: &F, now: Timestamp) -> bool {
         if self.failure.is_some() {

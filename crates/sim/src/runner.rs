@@ -700,8 +700,10 @@ impl PipelineRunner {
         let blocking = Blocking::Expiring {
             idle: self.filter.expiry_timer(),
         };
+        // `serve` sweeps no timers on decided batches: the batch size is
+        // only its poll size.
         let mut core = Dataplane::new(blocking, batch_size, None);
-        let mut settle = |_: Settled<'_>| Ok::<(), Infallible>(());
+        let settle = |_: Settled<'_>| Ok::<(), Infallible>(());
 
         let mut reconfigs = 0u64;
         let mut checkpoints = 0u64;
@@ -761,15 +763,11 @@ impl PipelineRunner {
                     if buf.is_empty() {
                         continue;
                     }
-                    // Each poll is decided in full before the safe-point
-                    // checks below, so they see every packet polled.
                     let before = core.stats();
-                    core.set_batch_size(batch_size);
-                    for (packet, direction) in buf.drain(..) {
+                    for (packet, direction) in &buf {
                         watermark = watermark.max(packet.ts());
-                        let Ok(_) = core.offer(&mut sharded, packet, direction, None, &mut settle);
+                        let Ok(_) = core.offer(&mut sharded, packet, *direction, None, settle);
                     }
-                    let Ok(_) = core.flush(&mut sharded, &mut settle);
                     let after = core.stats();
 
                     let stats = sharded.stats();

@@ -117,13 +117,20 @@ OVERLOAD RESILIENCE (filter):
     quarantines them. Same plan + same input => same faults.
     Incompatible with --subscribers.
 
+BATCH SIZE (filter, serve):
+    Every packet is decided as it is read, so --batch-size (default
+    64) never changes a verdict. `filter` sweeps filter timers after
+    every N decided packets; `serve` also polls its source N packets
+    at a time.
+
 OBSERVABILITY (filter):
     --metrics-addr serves live GET /metrics (Prometheus) and
     GET /health (JSON) over HTTP while the replay runs.
     --flight-dump names the black-box file; it is written on panic,
     on SIGUSR1, and when a fail-open filter arms while degraded.
     --trace-latency records per-stage latency histograms
-    (upbound_cli_stage_*) at a small per-packet cost.
+    (upbound_cli_stage_*); decide and emit are timed on one packet
+    per --batch-size decided packets.
     --serve-grace keeps the HTTP endpoint up for N seconds after the
     replay finishes (SIGINT/SIGTERM ends the grace period early).
 
@@ -733,8 +740,6 @@ impl FilterFlags {
         if args.has("checkpoint-interval") && checkpoint.is_none() {
             return Err(usage("--checkpoint-interval requires --checkpoint <FILE>"));
         }
-        // Default matches the batch_throughput bench's sweet spot; 1
-        // restores the packet-at-a-time behavior exactly.
         let batch_size: usize = args.parse_num("batch-size", 64usize).map_err(usage)?;
         if batch_size == 0 {
             return Err(usage("--batch-size expects at least 1"));
@@ -1025,8 +1030,8 @@ trait FilterKind {
     /// The tail of the final-checkpoint message.
     fn checkpoint_note(&self) -> String;
 
-    /// Brings timers up to `now`: after each full batch, and before
-    /// every checkpoint, report and the summary.
+    /// Brings timers up to `now`: after every `--batch-size` decided
+    /// packets, and before every checkpoint, report and the summary.
     fn advance(&mut self, _now: Timestamp) {}
 
     /// Refreshes registry-backed state before a metrics snapshot.
@@ -1407,10 +1412,10 @@ fn fail_mode_label(mode: FailMode) -> &'static str {
 ///
 /// Packets are read from the capture (or from the fault plan's
 /// distorted copy of it), classified by the kind, and offered to the
-/// dataplane core, which decides them in batches, blocks connections,
-/// and hands each back in input order for `--out`. Boundaries that read
-/// or write filter state (checkpoints, metrics reports, shutdown) flush
-/// the core first so they observe exactly the packets before them.
+/// dataplane core, which blocks connections, decides each packet and
+/// hands it back for `--out` before the next is read. So boundaries that
+/// read or write filter state (checkpoints, metrics reports, shutdown)
+/// observe exactly the packets before them.
 fn run_filter<K: FilterKind>(
     args: &Args,
     in_path: &str,
@@ -1506,12 +1511,10 @@ fn run_filter<K: FilterKind>(
         };
         let Some((p, frame)) = next else { break };
         if signals::interrupted() {
-            core.flush(kind.filter(), &mut emit)?;
             outcome = Outcome::Interrupted;
             break;
         }
         if signals::dump_requested() {
-            core.flush(kind.filter(), &mut emit)?;
             dump_on_signal(flight);
         }
         total += 1;
@@ -1537,7 +1540,6 @@ fn run_filter<K: FilterKind>(
             }
         }
         if let Some(boundary) = next_checkpoint.filter(|&b| t >= b) {
-            core.flush(kind.filter(), &mut emit)?;
             kind.advance(last_ts);
             let path = checkpoint.unwrap_or_default();
             let wrote = checkpoint_with_backoff(registry, || {
@@ -1564,7 +1566,6 @@ fn run_filter<K: FilterKind>(
             }
         }
         if let Some(boundary) = next_report.filter(|&b| t >= b) {
-            core.flush(kind.filter(), &mut emit)?;
             kind.advance(last_ts);
             kind.publish();
             let snapshot = registry.snapshot();
@@ -1584,12 +1585,13 @@ fn run_filter<K: FilterKind>(
         }
         let direction = kind.direction_of(&p);
         let frame = frame.filter(|_| keep_frames);
-        let decided = core.offer(kind.filter(), p, direction, frame, &mut emit)?;
-        if decided.is_some_and(|d| d.full) {
+        if core
+            .offer(kind.filter(), &p, direction, frame, &mut emit)?
+            .is_some()
+        {
             kind.advance(last_ts);
         }
     }
-    core.flush(kind.filter(), &mut emit)?;
     kind.advance(last_ts);
     if let Some(w) = writer.take() {
         w.finish().map_err(|e| runtime(e.to_string()))?;
