@@ -586,22 +586,22 @@ impl<O: FilterObserver> BitmapFilter<O> {
     /// [`FilterEngine`](crate::FilterEngine) — so replays and sharded
     /// runs reproduce exactly.
     pub fn check_inbound(&mut self, tuple: &FiveTuple, now: Timestamp, p_d: f64) -> Verdict {
+        self.inbound(tuple, now, Some(p_d))
+    }
+
+    /// [`check_inbound`](Self::check_inbound) with `p_d` either given
+    /// or, when `None`, derived from the measured uplink on a miss only.
+    fn inbound(&mut self, tuple: &FiveTuple, now: Timestamp, p_d: Option<f64>) -> Verdict {
         self.advance(now);
         self.anchor_warmup(now);
         self.maybe_notify_armed(now);
         if let Some(event) = self.overload.evaluate(&self.bitmap, now) {
             self.observer.on_overload(&event);
         }
-        // Degradation clamp: while the ladder is engaged, unmarked
-        // inbound packets face at least the rung's P_d. Applied before
-        // the probe, but structurally inert for marked (solicited)
-        // flows — `decide_inbound_core` passes known tuples before any
-        // drop draw consults `p_d`.
-        let p_d = p_d.max(self.overload.clamp(self.config.fail_mode()));
         self.stats.inbound_packets.fetch_add(1, Ordering::Relaxed);
         let key = tuple.inbound_key(self.config.hole_punching());
         let key_bytes = key.to_bytes();
-        let (verdict, known, drop_draws, fail_open) =
+        let (verdict, known, p_d, drop_draws, fail_open) =
             self.decide_inbound_core(&key_bytes, now, p_d);
         let warming = self.is_warming(now);
         self.observer.on_inbound(&InboundDecision {
@@ -620,22 +620,34 @@ impl<O: FilterObserver> BitmapFilter<O> {
     }
 
     /// The verdict logic shared by the exclusive and concurrent inbound
-    /// paths: one seqlock-consistent bitmap probe, then the per-bit drop
-    /// draws of Algorithm 2 (lines 9–13) — every unmarked hashed bit
-    /// gives an independent chance `p_d` to drop. Returns
-    /// `(verdict, known, drop_draws, fail_open)`.
+    /// paths: one seqlock-consistent bitmap probe, then — on a miss
+    /// only — `P_d` and the per-bit drop draws of Algorithm 2 (lines
+    /// 9–13): every unmarked hashed bit gives an independent chance
+    /// `p_d` to drop.
+    ///
+    /// A `None` `p_d` is derived from the uplink monitor (Eq. 1), so the
+    /// hit path never sums the monitor window. Reading it after the
+    /// caller's rotations and overload evaluation is verdict-identical
+    /// to reading it first: neither touches the monitor. Degradation
+    /// clamp: while the ladder is engaged, unmarked inbound packets face
+    /// at least the rung's `P_d`. Returns
+    /// `(verdict, known, p_d, drop_draws, fail_open)`, with `p_d` and
+    /// `drop_draws` zero on a hit.
     fn decide_inbound_core(
         &self,
         key_bytes: &[u8],
         now: Timestamp,
-        p_d: f64,
-    ) -> (Verdict, bool, usize, bool) {
+        p_d: Option<f64>,
+    ) -> (Verdict, bool, f64, usize, bool) {
         let probe = self.bitmap.probe(key_bytes);
         if probe.known {
             self.stats.inbound_hits.fetch_add(1, Ordering::Relaxed);
-            return (Verdict::Pass, true, 0, false);
+            return (Verdict::Pass, true, 0.0, 0, false);
         }
         self.stats.inbound_misses.fetch_add(1, Ordering::Relaxed);
+        let p_d = p_d
+            .unwrap_or_else(|| self.drop_probability(now))
+            .max(self.overload.clamp(self.config.fail_mode()));
         let unmarked = probe.unmarked;
         let mut would_drop = false;
         for draw in 0..unmarked {
@@ -646,15 +658,15 @@ impl<O: FilterObserver> BitmapFilter<O> {
         }
         if would_drop && self.is_armed(now) {
             self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-            (Verdict::Drop, false, unmarked, false)
+            (Verdict::Drop, false, p_d, unmarked, false)
         } else if would_drop {
             // Warm-up grace: the draws said drop, but the filter's
             // memory is too cold to trust — pass, and account the
             // override so degradation stays observable.
             self.stats.fail_open_passes.fetch_add(1, Ordering::Relaxed);
-            (Verdict::Pass, false, unmarked, true)
+            (Verdict::Pass, false, p_d, unmarked, true)
         } else {
-            (Verdict::Pass, false, unmarked, false)
+            (Verdict::Pass, false, p_d, unmarked, false)
         }
     }
 
@@ -666,7 +678,7 @@ impl<O: FilterObserver> BitmapFilter<O> {
 
     /// Full per-packet pipeline: outbound packets are marked, counted
     /// toward uplink throughput, and passed; inbound packets are checked
-    /// with `P_d` derived from the measured throughput.
+    /// with `P_d` derived from the measured throughput, on a miss only.
     pub fn process_packet(&mut self, packet: &Packet, direction: Direction) -> Verdict {
         let now = packet.ts();
         match direction {
@@ -675,10 +687,7 @@ impl<O: FilterObserver> BitmapFilter<O> {
                 self.engine.record_uplink(now, packet.wire_len() as u64);
                 Verdict::Pass
             }
-            Direction::Inbound => {
-                let p_d = self.drop_probability(now);
-                self.check_inbound(&packet.tuple(), now, p_d)
-            }
+            Direction::Inbound => self.inbound(&packet.tuple(), now, None),
         }
     }
 
@@ -709,17 +718,12 @@ impl<O: FilterObserver> BitmapFilter<O> {
                 Verdict::Pass
             }
             Direction::Inbound => {
-                // `P_d` is sampled before rotations are applied, exactly
-                // like the exclusive path (`process_packet` derives it
-                // before `check_inbound` advances the clock).
-                let p_d = self.drop_probability(now);
                 self.advance_shared(now);
                 self.anchor_warmup_shared(now);
                 self.overload.evaluate(&self.bitmap, now);
-                let p_d = p_d.max(self.overload.clamp(self.config.fail_mode()));
                 self.stats.inbound_packets.fetch_add(1, Ordering::Relaxed);
                 let key = packet.tuple().inbound_key(self.config.hole_punching());
-                self.decide_inbound_core(&key.to_bytes(), now, p_d).0
+                self.decide_inbound_core(&key.to_bytes(), now, None).0
             }
         }
     }
@@ -1106,6 +1110,80 @@ mod tests {
         assert!(f.drop_probability(now) > 0.99, "policy should saturate");
         let pkt = Packet::tcp(now, unsolicited(51000), TcpFlags::SYN, &[][..]);
         assert_eq!(f.process_packet(&pkt, Direction::Inbound), Verdict::Drop);
+    }
+
+    #[test]
+    fn miss_only_pd_matches_an_eager_reference() {
+        // RED between 100 kbit/s and 1 Mbit/s; one 1 kB outbound packet
+        // per 30 ms holds the uplink inside that band.
+        let config = || {
+            BitmapFilterConfig::builder()
+                .drop_policy(DropPolicy::new(100_000.0, 1_000_000.0).unwrap())
+                .rng_seed(5)
+                .build()
+                .unwrap()
+        };
+        // Outbound, its reply (a hit), and an unsolicited packet (a
+        // miss) every 30 ms for 30 s — five rotations — with one miss
+        // 3 s in the past.
+        let trace: Vec<(Packet, Direction)> = (0..3_000u64)
+            .map(|i| {
+                let micros = if i == 1_802 { 15_000_000 } else { i * 10_000 };
+                let t = Timestamp::from_micros(micros);
+                let port = 40_000 + (i / 3 % 400) as u16;
+                match i % 3 {
+                    0 => (
+                        Packet::tcp(t, out_tuple(port), TcpFlags::ACK, vec![0u8; 1000]),
+                        Direction::Outbound,
+                    ),
+                    1 => (
+                        Packet::tcp(t, out_tuple(port).inverse(), TcpFlags::ACK, &[][..]),
+                        Direction::Inbound,
+                    ),
+                    _ => (
+                        Packet::tcp(t, unsolicited(port), TcpFlags::SYN, &[][..]),
+                        Direction::Inbound,
+                    ),
+                }
+            })
+            .collect();
+
+        let mut eager = BitmapFilter::new(config());
+        let mut fractional = 0;
+        let expected: Vec<Verdict> = trace
+            .iter()
+            .map(|(packet, direction)| match direction {
+                Direction::Outbound => eager.process_packet(packet, *direction),
+                Direction::Inbound => {
+                    let p_d = eager.drop_probability(packet.ts());
+                    if p_d > 0.0 && p_d < 1.0 {
+                        fractional += 1;
+                    }
+                    eager.check_inbound(&packet.tuple(), packet.ts(), p_d)
+                }
+            })
+            .collect();
+        let stats = eager.stats();
+        assert!(fractional > 1_000, "P_d fractional on {fractional} packets");
+        assert!(stats.inbound_hits > 0 && stats.inbound_misses > 0);
+        assert!(stats.dropped > 0 && stats.dropped < stats.inbound_misses);
+        assert_eq!(stats.rotations, 5);
+
+        let mut exclusive = BitmapFilter::new(config());
+        let got: Vec<Verdict> = trace
+            .iter()
+            .map(|(packet, direction)| exclusive.process_packet(packet, *direction))
+            .collect();
+        assert_eq!(got, expected);
+        assert_eq!(exclusive.stats(), stats);
+
+        let shared = BitmapFilter::new(config());
+        let got: Vec<Verdict> = trace
+            .iter()
+            .map(|(packet, direction)| shared.process_packet_shared(packet, *direction))
+            .collect();
+        assert_eq!(got, expected);
+        assert_eq!(shared.stats(), stats);
     }
 
     #[test]

@@ -34,7 +34,9 @@ pub struct InboundDecision<'a> {
     pub now: Timestamp,
     /// The verdict reached.
     pub verdict: Verdict,
-    /// The drop probability `P_d` that was in force.
+    /// The drop probability `P_d` the drop draws used. The bitmap
+    /// filter derives it on a miss only and reports `0.0` for hits,
+    /// which pass before any draw.
     pub p_d: f64,
     /// `true` when the tuple was found in filter state (bitmap hit or
     /// flow-table hit); such packets always pass.
@@ -253,11 +255,11 @@ impl TelemetryObserver {
             ),
             drop_probability: registry.gauge(
                 &name("drop_probability"),
-                "Live drop probability P_d derived from measured uplink throughput",
+                "Drop probability P_d from measured uplink throughput, refreshed at each miss and rotation",
             ),
             uplink_bps: registry.gauge(
                 &name("uplink_bps"),
-                "Estimated uplink throughput over the monitor window, bits/second",
+                "Uplink throughput over the monitor window, bits/second, refreshed at each miss and rotation",
             ),
             overload_state: registry.gauge(
                 &name("overload_state"),
@@ -302,6 +304,13 @@ impl FilterObserver for TelemetryObserver {
     }
 
     fn on_inbound(&mut self, decision: &InboundDecision<'_>) {
+        if decision.known {
+            // Hits carry no `P_d` and are the bulk of inbound traffic;
+            // the gauges keep the last miss's or rotation's values
+            // rather than summing the monitor window per packet.
+            self.inbound_pass_total.inc();
+            return;
+        }
         let uplink = decision.monitor.rate_bps(decision.now);
         self.drop_probability.set(decision.p_d);
         self.uplink_bps.set(uplink);
@@ -416,7 +425,7 @@ impl FilterObserver for TelemetryObserver {
 mod tests {
     use super::*;
     use crate::{BitmapFilter, BitmapFilterConfig};
-    use upbound_net::Protocol;
+    use upbound_net::{Direction, Protocol};
 
     fn tuple(port: u16) -> FiveTuple {
         FiveTuple::new(
@@ -481,6 +490,77 @@ mod tests {
             kinds[2],
             FilterEventKind::Rotation { rotations: 2 }
         ));
+    }
+
+    #[test]
+    fn gauges_hold_the_last_miss_or_rotation_through_hits() {
+        use crate::DropPolicy;
+        use upbound_net::{Packet, TcpFlags};
+
+        let registry = Registry::new();
+        let config = BitmapFilterConfig::builder()
+            .drop_policy(DropPolicy::new(1_000.0, 100_000.0).unwrap())
+            .build()
+            .unwrap();
+        let mut filter =
+            BitmapFilter::with_observer(config, TelemetryObserver::new(&registry, "core", 16));
+        let gauges = || {
+            let snap = registry.snapshot();
+            (
+                snap.gauge("upbound_core_drop_probability").unwrap(),
+                snap.gauge("upbound_core_uplink_bps").unwrap(),
+            )
+        };
+        let at = Timestamp::from_secs;
+        let packet = |t: f64, tuple: FiveTuple| Packet::tcp(at(t), tuple, TcpFlags::ACK, &[][..]);
+        let upload = |filter: &mut BitmapFilter<TelemetryObserver>, t: f64| {
+            let sent = Packet::tcp(at(t), tuple(40000), TcpFlags::ACK, vec![0u8; 1000]);
+            filter.process_packet(&sent, Direction::Outbound);
+        };
+        let mut hits = 0;
+        let mut hit = |filter: &mut BitmapFilter<TelemetryObserver>, t: f64| {
+            let reply = packet(t, tuple(40000).inverse());
+            let verdict = filter.process_packet(&reply, Direction::Inbound);
+            assert_eq!(verdict, Verdict::Pass);
+            hits += 1;
+        };
+
+        upload(&mut filter, 1.0);
+        let miss = filter.process_packet(&packet(1.5, stranger(50000)), Direction::Inbound);
+        let at_miss = (
+            filter.drop_probability(at(1.5)),
+            filter.monitor().rate_bps(at(1.5)),
+        );
+        assert!(at_miss.0 > 0.0 && at_miss.0 < 1.0, "{at_miss:?}");
+        assert_eq!(gauges(), at_miss);
+
+        // More upload moves the live rate; hits leave the gauges alone.
+        upload(&mut filter, 2.0);
+        upload(&mut filter, 3.0);
+        hit(&mut filter, 3.5);
+        hit(&mut filter, 4.0);
+        assert_ne!(filter.monitor().rate_bps(at(4.0)), at_miss.1);
+        assert_eq!(gauges(), at_miss);
+
+        // The hit at 6 s first rotates at 5 s: the rotation refreshes.
+        hit(&mut filter, 6.0);
+        let at_rotation = (
+            filter.drop_probability(at(5.0)),
+            filter.monitor().rate_bps(at(5.0)),
+        );
+        assert_ne!(at_rotation, at_miss);
+        assert_eq!(gauges(), at_rotation);
+        upload(&mut filter, 6.5);
+        hit(&mut filter, 7.0);
+        assert_eq!(gauges(), at_rotation);
+
+        let passes = hits + u64::from(miss == Verdict::Pass);
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter("upbound_core_inbound_pass_total"),
+            Some(passes)
+        );
+        assert_eq!(filter.stats().inbound_hits, hits);
     }
 
     #[test]

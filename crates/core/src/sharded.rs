@@ -341,9 +341,13 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
         &self.inner.uplink
     }
 
-    /// The shard index `tuple` maps to when seen from `direction`.
+    /// The shard index `tuple` maps to when seen from `direction`. One
+    /// shard takes every packet, so its flow key is never hashed.
     pub fn shard_of(&self, tuple: &FiveTuple, direction: Direction) -> usize {
-        (self.inner.flow.key(tuple, direction) % self.inner.shards.len() as u64) as usize
+        match self.inner.shards.len() {
+            1 => 0,
+            n => (self.inner.flow.key(tuple, direction) % n as u64) as usize,
+        }
     }
 
     /// Runs the full per-packet pipeline on the packet's shard. For a
@@ -432,14 +436,12 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
     ///   shift them.
     pub fn process_batch(&self, packets: &[(Packet, Direction)], verdicts: &mut Vec<Verdict>) {
         verdicts.reserve(packets.len());
-        let shard_count = self.inner.shards.len();
         let mut wm = self.inner.watermark.load(Ordering::Relaxed);
         if F::CONCURRENT {
             let guards: Vec<_> = self.inner.shards.iter().map(|shard| shard.read()).collect();
             for (packet, direction) in packets {
                 wm = wm.max(packet.ts().as_micros());
-                let shard = (self.inner.flow.key(&packet.tuple(), *direction) % shard_count as u64)
-                    as usize;
+                let shard = self.shard_of(&packet.tuple(), *direction);
                 let guard = &guards[shard];
                 guard.advance_shared(Timestamp::from_micros(wm));
                 verdicts.push(guard.decide_shared(packet, *direction));
@@ -453,8 +455,7 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
                 .collect();
             for (packet, direction) in packets {
                 wm = wm.max(packet.ts().as_micros());
-                let shard = (self.inner.flow.key(&packet.tuple(), *direction) % shard_count as u64)
-                    as usize;
+                let shard = self.shard_of(&packet.tuple(), *direction);
                 let guard = &mut guards[shard];
                 guard.advance(Timestamp::from_micros(wm));
                 verdicts.push(guard.decide(packet, *direction));
